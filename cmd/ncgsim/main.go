@@ -151,7 +151,7 @@ func (gf *gridFlags) register(fs *flag.FlagSet, withShard bool) {
 	fs.IntVar(&gf.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	if withShard {
 		fs.IntVar(&gf.shard, "shard", 0, "trials per shard (0 = auto)")
-		fs.IntVar(&gf.probeWrk, "probe-workers", 0, "per-run happiness-probe workers")
+		fs.IntVar(&gf.probeWrk, "probe-workers", 0, "per-run happiness-probe workers (landmark mode: also the mover's re-scoring)")
 		fs.StringVar(&gf.schedule, "schedule", "", "override the scenario's activation schedule (empty: scenario default)")
 		fs.StringVar(&gf.oracle, "oracle", "", "distance oracle: auto, exact, landmark, landmark:k (empty: scenario default)")
 		fs.StringVar(&gf.backend, "backend", "", "adjacency backend: auto, dense, sparse (empty: scenario default)")

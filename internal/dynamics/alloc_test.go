@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"runtime"
 	"testing"
 
 	"ncg/internal/game"
@@ -32,6 +33,41 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	// per-step or per-trial allocation creeping back in.
 	if perRun > 8 {
 		t.Errorf("steady-state run allocates %.1f times (%.3f per step), want <= 8 per run", perRun, perStep)
+	}
+}
+
+// TestLandmarkRunnerArenaReuse pins the lazy re-scoring arenas of landmark
+// mode: a warmed Runner with Workers 2 keeps the helper goroutine's
+// 64-row target arena and kernel scratch in its scratches, so a further
+// run on a same-sized network allocates well under one such 64·n·4-byte
+// row arena — what a reallocation of the arenas would cost at the least.
+// TotalAlloc is monotonic, so the measurement is immune to GC timing.
+func TestLandmarkRunnerArenaReuse(t *testing.T) {
+	const n = 256
+	g0 := gen.RandomConnected(n, n-1+n/4, gen.NewRand(5))
+	cfg := Config{
+		Game:     game.NewSwap(game.Sum),
+		Policy:   MinIndex{},
+		Seed:     3,
+		Workers:  2,
+		MaxSteps: 8,
+		Oracle:   OracleSpec{Mode: OracleLandmark, K: 1},
+	}
+	r := NewRunner()
+	g := g0.Clone()
+	if res := r.Run(g, cfg); res.Steps == 0 {
+		t.Fatalf("warm-up run made no step: %+v", res)
+	}
+	var before, after runtime.MemStats
+	g.CopyFrom(g0)
+	runtime.ReadMemStats(&before)
+	res := r.Run(g, cfg)
+	runtime.ReadMemStats(&after)
+	perRun := int64(after.TotalAlloc - before.TotalAlloc)
+	arena := int64(64 * n * 4)
+	t.Logf("warm landmark run: %d bytes over %d steps (row arena %d bytes)", perRun, res.Steps, arena)
+	if perRun > arena/4 {
+		t.Errorf("warm landmark run allocated %d bytes, want <= %d (a quarter of one row arena)", perRun, arena/4)
 	}
 }
 

@@ -114,6 +114,42 @@ func TestLandmarkRunIsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLandmarkRunWorkerInvariance: in landmark mode Workers also fans the
+// mover's survivor re-scoring out, so a Workers: 2 run must replay the
+// Workers: 1 trace and final network exactly — under MinIndex probe waves
+// (sequential steps, re-scoring fanned out) and under ActiveAll rounds
+// (parallel scans, every scan at width 1). k=1 keeps the landmark bounds
+// weak, so survivors span several 64-target chunks.
+func TestLandmarkRunWorkerInvariance(t *testing.T) {
+	const n = 160
+	mk := func() *graph.Graph { return gen.RandomConnected(n, n-1+n/4, gen.NewRand(41)) }
+	for ci, cfg := range []Config{
+		{Game: game.NewSwap(game.Sum), Policy: MinIndex{}, Tie: TieRandom, Seed: 13, MaxSteps: 24},
+		{Game: game.NewSwap(game.Sum), Policy: MinIndex{}, Tie: TieRandom, Seed: 17, MaxSteps: 24,
+			Schedule: Rounds{Active: ActiveAll, Collision: SkipOnConflict}},
+	} {
+		cfg.Oracle = OracleSpec{Mode: OracleLandmark, K: 1}
+		cfg.Workers = 1
+		wantRes, wantSteps, wantG := traceOf(mk, cfg)
+		if len(wantSteps) == 0 {
+			t.Fatalf("config %d: start network already stable; nothing exercised", ci)
+		}
+		cfg.Workers = 2
+		res, steps, g := traceOf(mk, cfg)
+		if !resultsEqual(res, wantRes) {
+			t.Fatalf("config %d: Workers 2 result %+v, Workers 1 %+v", ci, res, wantRes)
+		}
+		for i := range steps {
+			if i >= len(wantSteps) || steps[i] != wantSteps[i] {
+				t.Fatalf("config %d step %d diverged at Workers 2:\n got %s", ci, i, steps[i])
+			}
+		}
+		if len(steps) != len(wantSteps) || !g.Equal(wantG) {
+			t.Fatalf("config %d: trajectories diverge (%d vs %d steps)", ci, len(steps), len(wantSteps))
+		}
+	}
+}
+
 // TestLandmarkRunnerReuse runs landmark-mode trials back to back through
 // one Runner across different sizes and seeds; every trial must match a
 // fresh single-use run.

@@ -49,8 +49,12 @@ type Config struct {
 	// Seed feeds the deterministic RNG used by policy and tie-breaking.
 	Seed int64
 	// Workers sets how many goroutines fan out the per-agent happiness
-	// probes of the built-in policies; 0 or 1 probes serially. Probe
-	// results are collected in deterministic order and the cost cache is
+	// probes of the built-in policies; 0 or 1 probes serially. In
+	// landmark mode it also fans the mover's best-response scan out: the
+	// exact re-scoring of the swap targets that survive the landmark
+	// bounds is split into 64-target chunks over Workers goroutines.
+	// Probe results are collected in deterministic order, re-scored
+	// targets write only their own score slots, and the cost cache is
 	// exact, so the trace of a seeded run is identical at any worker
 	// count. Games whose probes mutate the graph transiently (Buy,
 	// Bilateral) are always probed serially.

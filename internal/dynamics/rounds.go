@@ -196,6 +196,9 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 				a.pack(a.moves)
 			}
 		} else {
+			// The primary scratch drops its re-scoring fan-out while the
+			// scans themselves run in parallel, so goroutines never nest.
+			s.SetScanWorkers(1)
 			span := (nAgents + nw - 1) / nw
 			var wg sync.WaitGroup
 			for w := 0; w < nw; w++ {
@@ -218,6 +221,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 				}(w, lo, hi)
 			}
 			wg.Wait()
+			s.SetScanWorkers(e.workers)
 		}
 
 		// Locate every agent's candidate block.

@@ -197,13 +197,20 @@ func BenchmarkOracleBuild8192(b *testing.B) {
 	}
 }
 
-func BenchmarkLandmarkScan8192(b *testing.B) {
+func BenchmarkLandmarkScan8192(b *testing.B) { benchLandmarkScan8192(b, 1) }
+
+// BenchmarkLandmarkScan8192Workers2 is the same scan with its survivor
+// re-scoring fanned out over two goroutines.
+func BenchmarkLandmarkScan8192Workers2(b *testing.B) { benchLandmarkScan8192(b, 2) }
+
+func benchLandmarkScan8192(b *testing.B, workers int) {
 	const n = 8192
 	g := mustSparse(n, n/8, 2)
 	lm := graph.BuildLandmarks(g, 16, nil)
 	gm := game.NewSwap(game.Sum)
 	s := game.NewScratch(n)
 	s.SetLandmarks(lm)
+	s.SetScanWorkers(workers)
 	var moves []game.Move
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,9 +28,10 @@ type Options struct {
 	// once (0: an automatic size targeting a few shards per worker). The
 	// shard size never changes results.
 	ShardSize int
-	// ProbeWorkers fans each run's happiness probes over a worker pool
-	// (see dynamics.Config.Workers). Trial-level parallelism saturates
-	// cores at small n; trade it for probe parallelism at large n.
+	// ProbeWorkers fans each run's happiness probes, and in landmark mode
+	// the mover's survivor re-scoring, over a worker pool (see
+	// dynamics.Config.Workers). Trial-level parallelism saturates cores
+	// at small n; trade it for in-run parallelism at large n.
 	ProbeWorkers int
 	// Done holds trials already executed (loaded from a partial JSONL
 	// checkpoint); they are folded into the summary from their recorded

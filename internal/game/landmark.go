@@ -1,6 +1,9 @@
 package game
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ncg/internal/graph"
 )
 
@@ -67,15 +70,25 @@ type lmScratch struct {
 	wa  []int32
 	wb  []int32
 	// Batched exact-scoring state (see lmBatchScores): score memoizes the
-	// swap scores of one scan as score[xi*len(buf2)+yi]; rows is the
-	// lmChunk-wide target-row arena the batched kernel writes into, rowp
-	// its per-call slice header, srcs/tis the pending chunk's targets and
-	// their positions in buf2.
+	// swap scores of one scan as score[xi*len(buf2)+yi]; srcs/tis list the
+	// surviving targets and their positions in buf2; wk holds one row
+	// arena per re-scoring goroutine (wk[0] serves the calling one), grown
+	// lazily up to width, the fan-out set by SetScanWorkers.
 	score []int64
-	rows  [][]int32
-	rowp  [][]int32
 	srcs  []int
 	tis   []int32
+	wk    []*lmWorker
+	width int
+}
+
+// lmWorker is the private state of one re-scoring goroutine: the
+// lmChunk-wide target-row arena the batched kernel writes into, its
+// per-call slice header, and the kernel scratch (whose CSR snapshot is
+// cached per graph version, so each goroutine snapshots a network once).
+type lmWorker struct {
+	rows  [][]int32
+	rowp  [][]int32
+	batch *graph.BatchBFSScratch
 }
 
 // lmWitnesses is the witness-set size of the MAX bound.
@@ -109,6 +122,15 @@ func (l *lmScratch) grow(n, k int) {
 // return the same moves, just slower — and arms itself only when the oracle
 // is complete and the scanned agent reaches the whole graph.
 func (s *Scratch) SetLandmarks(lm *graph.Landmarks) { s.lmk = lm }
+
+// SetScanWorkers sets how many goroutines a landmark-filtered BestMoves or
+// ImprovingMoves on s may spread its survivor re-scoring over; w < 1 means
+// 1. Every goroutine writes only score slots owned by the targets it
+// claimed, so scan results are identical at any width. The extra
+// goroutines' row arenas are allocated on first use and kept by s. Leave
+// the width at 1 on scratches that are themselves scanned concurrently,
+// so goroutines never nest.
+func (s *Scratch) SetScanWorkers(w int) { s.lm.width = w }
 
 // lmProbe arms the landmark filter for a scan of agent u from a fresh
 // single-source search, without touching the neighbour rows: it fills the
@@ -332,14 +354,48 @@ const lmChunk = 64
 const lmMaxScoreEntries = 1 << 25
 
 // ensureRows sizes the target-row arena for dn-vertex rows.
-func (l *lmScratch) ensureRows(dn int) {
-	if len(l.rows) == lmChunk && cap(l.rows[0]) >= dn {
+func (w *lmWorker) ensureRows(dn int) {
+	if len(w.rows) == lmChunk && cap(w.rows[0]) >= dn {
 		return
 	}
-	l.rows = make([][]int32, lmChunk)
-	for i := range l.rows {
-		l.rows[i] = make([]int32, dn)
+	w.rows = make([][]int32, lmChunk)
+	for i := range w.rows {
+		w.rows[i] = make([]int32, dn)
 	}
+}
+
+// lmWorkerAt returns re-scoring worker i, sized for the current scan.
+// Worker 0 shares the scan's kernel scratch with deltaInit; the others
+// own theirs.
+func (s *Scratch) lmWorkerAt(i int) *lmWorker {
+	d := &s.delta
+	l := &s.lm
+	for len(l.wk) <= i {
+		l.wk = append(l.wk, &lmWorker{})
+	}
+	w := l.wk[i]
+	w.ensureRows(d.dn)
+	if i == 0 {
+		if d.batch == nil {
+			d.batch = graph.NewBatchBFSScratch(d.n)
+		}
+		w.batch = d.batch
+	} else if w.batch == nil {
+		w.batch = graph.NewBatchBFSScratch(d.n)
+	}
+	return w
+}
+
+// targetRows materializes the d_{G-u} rows of ys into w's arena through
+// the batched kernel and returns them, one per target.
+func (w *lmWorker) targetRows(g graph.Store, u, dn int, ys []int) [][]int32 {
+	rows := w.rowp[:0]
+	for i := range ys {
+		rows = append(rows, w.rows[i][:dn])
+	}
+	w.rowp = rows
+	g.BatchBFSExcluding(ys, u, rows, nil, w.batch)
+	return rows
 }
 
 // lmBatchScores exactly scores every target that survives the armed
@@ -351,8 +407,16 @@ func (l *lmScratch) ensureRows(dn int) {
 // G-u rows are materialized in lmChunk-wide groups through the batched
 // kernel — the per-row cost the lazy path pays once per surviving target,
 // amortized 64-fold — and are not pooled, so scratch memory stays O(n)
-// however many targets survive. Reports whether the memo is armed;
-// deltaInit must have run.
+// per re-scoring goroutine however many targets survive. Reports whether
+// the memo is armed; deltaInit must have run.
+//
+// The scan runs in two passes. The bound loop is serial: it fills the
+// shared per-target bound cache and collects the survivors. Re-scoring
+// then claims lmChunk-wide survivor chunks from an atomic counter on up
+// to the SetScanWorkers width of goroutines. A chunk writes only the
+// aggregates (ySum, yMax1, yC1, yMax2) and score column of its own
+// targets and reads nothing another chunk writes, so the memo is the
+// same at any width.
 func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64, strict bool) bool {
 	d := &s.delta
 	deg, nt := len(s.buf), len(s.buf2)
@@ -364,10 +428,6 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 		l.score = make([]int64, deg*nt)
 	}
 	l.score = l.score[:deg*nt]
-	l.ensureRows(d.dn)
-	if d.batch == nil {
-		d.batch = graph.NewBatchBFSScratch(d.n)
-	}
 	l.srcs = l.srcs[:0]
 	l.tis = l.tis[:0]
 	for ti, y := range s.buf2 {
@@ -377,37 +437,55 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 		}
 		l.srcs = append(l.srcs, y)
 		l.tis = append(l.tis, int32(ti))
-		if len(l.srcs) == lmChunk {
-			s.lmFlushScores(g, u, kind, nt)
+	}
+	chunks := (len(l.srcs) + lmChunk - 1) / lmChunk
+	width := min(max(l.width, 1), chunks)
+	if width <= 1 {
+		w := s.lmWorkerAt(0)
+		for c := 0; c < chunks; c++ {
+			s.lmScoreChunk(g, u, kind, c, w)
+		}
+		return true
+	}
+	for i := 0; i < width; i++ {
+		s.lmWorkerAt(i)
+	}
+	var next atomic.Int32
+	claim := func(w *lmWorker) {
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			s.lmScoreChunk(g, u, kind, c, w)
 		}
 	}
-	s.lmFlushScores(g, u, kind, nt)
+	var wg sync.WaitGroup
+	for i := 1; i < width; i++ {
+		wg.Add(1)
+		go func(w *lmWorker) {
+			defer wg.Done()
+			claim(w)
+		}(l.wk[i])
+	}
+	claim(l.wk[0])
+	wg.Wait()
 	return true
 }
 
-// lmFlushScores materializes the pending chunk's target rows and fills
-// their score-matrix columns, then clears the chunk.
-func (s *Scratch) lmFlushScores(g graph.Store, u int, kind DistKind, nt int) {
-	l := &s.lm
-	if len(l.srcs) == 0 {
-		return
-	}
+// lmScoreChunk materializes the rows of survivor chunk c on worker w and
+// fills the chunk's per-target aggregates and score-matrix columns.
+func (s *Scratch) lmScoreChunk(g graph.Store, u int, kind DistKind, c int, w *lmWorker) {
 	d := &s.delta
-	rows := l.rowp[:0]
-	for i := range l.srcs {
-		rows = append(rows, l.rows[i][:d.dn])
-	}
-	l.rowp = rows
-	g.BatchBFSExcluding(l.srcs, u, rows, nil, d.batch)
-	for i, y := range l.srcs {
+	l := &s.lm
+	lo := c * lmChunk
+	hi := min(lo+lmChunk, len(l.srcs))
+	nt := len(s.buf2)
+	ys := l.srcs[lo:hi]
+	rows := w.targetRows(g, u, d.dn, ys)
+	for i, y := range ys {
 		s.deltaTargetAggr(u, y, rows[i])
-		ti := int(l.tis[i])
+		ti := int(l.tis[lo+i])
 		for xi, x := range s.buf {
 			l.score[xi*nt+ti] = s.deltaSwapScore(x, y, rows[i], kind)
 		}
 	}
-	l.srcs = l.srcs[:0]
-	l.tis = l.tis[:0]
 }
 
 // lmAnyImproving reports whether any (drop, add) pair of the armed scan
@@ -431,16 +509,7 @@ func (s *Scratch) lmAnyImproving(g graph.Store, u int, kind DistKind, cur int64)
 			continue
 		}
 		s.deltaInit(g, u)
-		l.ensureRows(d.dn)
-		if d.batch == nil {
-			d.batch = graph.NewBatchBFSScratch(d.n)
-		}
-		rows := l.rowp[:0]
-		for i := range l.srcs {
-			rows = append(rows, l.rows[i][:d.dn])
-		}
-		l.rowp = rows
-		g.BatchBFSExcluding(l.srcs, u, rows, nil, d.batch)
+		rows := s.lmWorkerAt(0).targetRows(g, u, d.dn, l.srcs)
 		for i, y := range l.srcs {
 			s.deltaTargetAggr(u, y, rows[i])
 			for _, x := range s.buf {

@@ -174,3 +174,49 @@ func cloneMoves(ms []Move) []Move {
 	}
 	return out
 }
+
+// TestLandmarkScanWorkerInvariance pins the re-scoring fan-out: with the
+// landmark filter armed, BestMoves (non-strict survivor limit) and
+// ImprovingMoves (strict limit) must return the same moves at any
+// SetScanWorkers width. k=1 keeps the bounds weak, so the survivors of
+// most scans span several lmChunk-wide chunks and really fan out.
+func TestLandmarkScanWorkerInvariance(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	widths := []int{1, 2, 4}
+	for _, c := range []struct{ n, agents int }{{128, 16}, {512, 4}} {
+		n := c.n
+		g := lmRandConnected(n, n/4, r)
+		lm := graph.BuildLandmarks(g, 1, nil)
+		scr := make([]*Scratch, len(widths))
+		for i, w := range widths {
+			scr[i] = NewScratch(n)
+			scr[i].SetLandmarks(lm)
+			scr[i].SetScanWorkers(w)
+		}
+		for _, gm := range []Game{NewSwap(Sum), NewSwap(Max), NewAsymSwap(Sum), NewAsymSwap(Max)} {
+			fanned := 0
+			for u := 0; u < n; u += n / c.agents {
+				wantBest, wantCost := gm.BestMoves(g, u, scr[0], nil)
+				wantBest = cloneMoves(wantBest)
+				wantImp := cloneMoves(gm.ImprovingMoves(g, u, scr[0], nil))
+				if len(scr[0].lm.srcs) > lmChunk {
+					fanned++
+				}
+				for i, s := range scr[1:] {
+					best, cost := gm.BestMoves(g, u, s, nil)
+					if cost != wantCost || !reflect.DeepEqual(cloneMoves(best), wantBest) {
+						t.Fatalf("%s n=%d u=%d width %d: BestMoves %v/%v, want %v/%v",
+							gm.Name(), n, u, widths[i+1], best, cost, wantBest, wantCost)
+					}
+					if imp := cloneMoves(gm.ImprovingMoves(g, u, s, nil)); !reflect.DeepEqual(imp, wantImp) {
+						t.Fatalf("%s n=%d u=%d width %d: ImprovingMoves %v, want %v",
+							gm.Name(), n, u, widths[i+1], imp, wantImp)
+					}
+				}
+			}
+			if fanned == 0 {
+				t.Fatalf("%s n=%d: no scan had more than one survivor chunk; the fan-out went untested", gm.Name(), n)
+			}
+		}
+	}
+}
