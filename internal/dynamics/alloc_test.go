@@ -37,9 +37,10 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestLandmarkRunnerArenaReuse pins the lazy re-scoring arenas of landmark
-// mode: a warmed Runner with Workers 2 keeps the helper goroutine's
-// 64-row target arena and kernel scratch in its scratches, so a further
-// run on a same-sized network allocates well under one such 64·n·4-byte
+// mode: a warmed Runner with Workers 2 keeps each worker scratch's 64-row
+// target arena and kernel scratch (the mover's scan borrows the second
+// one for its helper goroutine), so a further run on a same-sized
+// network allocates well under one such 64·n·4-byte
 // row arena — what a reallocation of the arenas would cost at the least.
 // TotalAlloc is monotonic, so the measurement is immune to GC timing.
 func TestLandmarkRunnerArenaReuse(t *testing.T) {

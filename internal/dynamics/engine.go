@@ -87,12 +87,13 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 		// wrong network; cost() reinstalls the cache once it is built.
 		s.SetDistOracle(nil)
 		s.SetLandmarks(e.lmk)
-		s.SetScanWorkers(1)
+		s.SetScanHelpers(nil)
 	}
-	// The mover's best-response scan runs serially on the primary scratch,
-	// so it alone fans its landmark re-scoring out over the pool; probe
-	// waves and parallel round scans use the width-1 scratches.
-	e.scr[0].SetScanWorkers(workers)
+	// The mover's best-response scan runs serially on the primary scratch
+	// while the other workers' scratches sit idle, so it alone fans its
+	// landmark re-scoring out, over their arenas; probe waves and parallel
+	// round scans never borrow (see runRounds).
+	e.scr[0].SetScanHelpers(e.scr[1:])
 	// Naive-wrapped games deliberately run without the distance cache:
 	// the wrap marks a regime (see game.PreferNaiveScan) where cache
 	// maintenance costs more than the BFS costs it replaces. Landmark

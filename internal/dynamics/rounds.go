@@ -196,9 +196,9 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 				a.pack(a.moves)
 			}
 		} else {
-			// The primary scratch drops its re-scoring fan-out while the
-			// scans themselves run in parallel, so goroutines never nest.
-			s.SetScanWorkers(1)
+			// The primary scratch stops borrowing its siblings' arenas
+			// while they run scans of their own, so goroutines never nest.
+			s.SetScanHelpers(nil)
 			span := (nAgents + nw - 1) / nw
 			var wg sync.WaitGroup
 			for w := 0; w < nw; w++ {
@@ -221,7 +221,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 				}(w, lo, hi)
 			}
 			wg.Wait()
-			s.SetScanWorkers(e.workers)
+			s.SetScanHelpers(e.scr[1:])
 		}
 
 		// Locate every agent's candidate block.

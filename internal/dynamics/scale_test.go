@@ -210,7 +210,11 @@ func benchLandmarkScan8192(b *testing.B, workers int) {
 	gm := game.NewSwap(game.Sum)
 	s := game.NewScratch(n)
 	s.SetLandmarks(lm)
-	s.SetScanWorkers(workers)
+	helpers := make([]*game.Scratch, workers-1)
+	for i := range helpers {
+		helpers[i] = game.NewScratch(n)
+	}
+	s.SetScanHelpers(helpers)
 	var moves []game.Move
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

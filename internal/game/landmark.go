@@ -71,17 +71,17 @@ type lmScratch struct {
 	wb  []int32
 	// Batched exact-scoring state (see lmBatchScores): score memoizes the
 	// swap scores of one scan as score[xi*len(buf2)+yi]; srcs/tis list the
-	// surviving targets and their positions in buf2; wk holds one row
-	// arena per re-scoring goroutine (wk[0] serves the calling one), grown
-	// lazily up to width, the fan-out set by SetScanWorkers.
-	score []int64
-	srcs  []int
-	tis   []int32
-	wk    []*lmWorker
-	width int
+	// surviving targets and their positions in buf2; wk is this scratch's
+	// re-scoring arena, and helpers the sibling scratches whose arenas a
+	// scan on this one may borrow (see SetScanHelpers).
+	score   []int64
+	srcs    []int
+	tis     []int32
+	wk      lmWorker
+	helpers []*Scratch
 }
 
-// lmWorker is the private state of one re-scoring goroutine: the
+// lmWorker is the state one re-scoring goroutine works in: the
 // lmChunk-wide target-row arena the batched kernel writes into, its
 // per-call slice header, and the kernel scratch (whose CSR snapshot is
 // cached per graph version, so each goroutine snapshots a network once).
@@ -123,14 +123,14 @@ func (l *lmScratch) grow(n, k int) {
 // is complete and the scanned agent reaches the whole graph.
 func (s *Scratch) SetLandmarks(lm *graph.Landmarks) { s.lmk = lm }
 
-// SetScanWorkers sets how many goroutines a landmark-filtered BestMoves or
-// ImprovingMoves on s may spread its survivor re-scoring over; w < 1 means
-// 1. Every goroutine writes only score slots owned by the targets it
-// claimed, so scan results are identical at any width. The extra
-// goroutines' row arenas are allocated on first use and kept by s. Leave
-// the width at 1 on scratches that are themselves scanned concurrently,
-// so goroutines never nest.
-func (s *Scratch) SetScanWorkers(w int) { s.lm.width = w }
+// SetScanHelpers lends the re-scoring arenas of hs to the landmark-filtered
+// BestMoves and ImprovingMoves scans on s: their survivor re-scoring then
+// spreads over up to 1+len(hs) goroutines, each helper's on that helper's
+// row arena and kernel scratch. Every goroutine writes only score slots
+// owned by the targets it claimed, so scan results are identical with any
+// number of helpers. The helpers must sit idle while a scan on s runs;
+// nil removes them.
+func (s *Scratch) SetScanHelpers(hs []*Scratch) { s.lm.helpers = hs }
 
 // lmProbe arms the landmark filter for a scan of agent u from a fresh
 // single-source search, without touching the neighbour rows: it fills the
@@ -364,25 +364,21 @@ func (w *lmWorker) ensureRows(dn int) {
 	}
 }
 
-// lmWorkerAt returns re-scoring worker i, sized for the current scan.
-// Worker 0 shares the scan's kernel scratch with deltaInit; the others
-// own theirs.
+// lmWorkerAt returns the re-scoring arena of goroutine i, sized for the
+// current scan of s: s's own for i = 0, helper i-1's otherwise. Each
+// arena shares its owner's kernel scratch with the owner's deltaInit.
 func (s *Scratch) lmWorkerAt(i int) *lmWorker {
 	d := &s.delta
-	l := &s.lm
-	for len(l.wk) <= i {
-		l.wk = append(l.wk, &lmWorker{})
+	o := s
+	if i > 0 {
+		o = s.lm.helpers[i-1]
 	}
-	w := l.wk[i]
+	w := &o.lm.wk
 	w.ensureRows(d.dn)
-	if i == 0 {
-		if d.batch == nil {
-			d.batch = graph.NewBatchBFSScratch(d.n)
-		}
-		w.batch = d.batch
-	} else if w.batch == nil {
-		w.batch = graph.NewBatchBFSScratch(d.n)
+	if o.delta.batch == nil {
+		o.delta.batch = graph.NewBatchBFSScratch(d.n)
 	}
+	w.batch = o.delta.batch
 	return w
 }
 
@@ -412,11 +408,12 @@ func (w *lmWorker) targetRows(g graph.Store, u, dn int, ys []int) [][]int32 {
 //
 // The scan runs in two passes. The bound loop is serial: it fills the
 // shared per-target bound cache and collects the survivors. Re-scoring
-// then claims lmChunk-wide survivor chunks from an atomic counter on up
-// to the SetScanWorkers width of goroutines. A chunk writes only the
-// aggregates (ySum, yMax1, yC1, yMax2) and score column of its own
-// targets and reads nothing another chunk writes, so the memo is the
-// same at any width.
+// then claims lmChunk-wide survivor chunks from an atomic counter on the
+// calling goroutine and one goroutine per SetScanHelpers helper (never
+// more than there are chunks, so one chunk spawns nothing). A chunk
+// writes only the aggregates (ySum, yMax1, yC1, yMax2) and score column
+// of its own targets and reads nothing another chunk writes, so the memo
+// is the same with any number of helpers.
 func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64, strict bool) bool {
 	d := &s.delta
 	deg, nt := len(s.buf), len(s.buf2)
@@ -439,19 +436,10 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 		l.tis = append(l.tis, int32(ti))
 	}
 	chunks := (len(l.srcs) + lmChunk - 1) / lmChunk
-	width := min(max(l.width, 1), chunks)
-	if width <= 1 {
-		w := s.lmWorkerAt(0)
-		for c := 0; c < chunks; c++ {
-			s.lmScoreChunk(g, u, kind, c, w)
-		}
-		return true
-	}
-	for i := 0; i < width; i++ {
-		s.lmWorkerAt(i)
-	}
+	width := max(min(1+len(l.helpers), chunks), 1)
 	var next atomic.Int32
-	claim := func(w *lmWorker) {
+	claim := func(i int) {
+		w := s.lmWorkerAt(i)
 		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
 			s.lmScoreChunk(g, u, kind, c, w)
 		}
@@ -459,12 +447,12 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 	var wg sync.WaitGroup
 	for i := 1; i < width; i++ {
 		wg.Add(1)
-		go func(w *lmWorker) {
+		go func(i int) {
 			defer wg.Done()
-			claim(w)
-		}(l.wk[i])
+			claim(i)
+		}(i)
 	}
-	claim(l.wk[0])
+	claim(0)
 	wg.Wait()
 	return true
 }

@@ -177,9 +177,10 @@ func cloneMoves(ms []Move) []Move {
 
 // TestLandmarkScanWorkerInvariance pins the re-scoring fan-out: with the
 // landmark filter armed, BestMoves (non-strict survivor limit) and
-// ImprovingMoves (strict limit) must return the same moves at any
-// SetScanWorkers width. k=1 keeps the bounds weak, so the survivors of
-// most scans span several lmChunk-wide chunks and really fan out.
+// ImprovingMoves (strict limit) must return the same moves with 0, 1 or
+// 3 SetScanHelpers helpers (widths 1, 2 and 4). k=1 keeps the bounds
+// weak, so the survivors of most scans span several lmChunk-wide chunks
+// and really fan out.
 func TestLandmarkScanWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	widths := []int{1, 2, 4}
@@ -191,7 +192,11 @@ func TestLandmarkScanWorkerInvariance(t *testing.T) {
 		for i, w := range widths {
 			scr[i] = NewScratch(n)
 			scr[i].SetLandmarks(lm)
-			scr[i].SetScanWorkers(w)
+			helpers := make([]*Scratch, w-1)
+			for j := range helpers {
+				helpers[j] = NewScratch(n)
+			}
+			scr[i].SetScanHelpers(helpers)
 		}
 		for _, gm := range []Game{NewSwap(Sum), NewSwap(Max), NewAsymSwap(Sum), NewAsymSwap(Max)} {
 			fanned := 0
