@@ -363,7 +363,7 @@ func (a *app) cmdServe(args []string) {
 	fs.Usage = func() { fmt.Fprint(a.Stderr, usage) }
 	var cf campaignFlags
 	cf.register(fs)
-	dir := fs.String("dir", "", "coordinator state directory (manifest, shard files, merged records)")
+	dir := fs.String("dir", "", "coordinator state directory (manifest, shard log, merged records)")
 	addr := fs.String("addr", "127.0.0.1:8777", "listen address")
 	shard := fs.Int("shard", 0, "instances per shard (0 = 64)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "heartbeat-renewed lease expiry (0 = 30s)")

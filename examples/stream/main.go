@@ -11,8 +11,8 @@
 // a byte-prefix extension of the durable merged stream, and a cursor
 // names an exact byte offset (fingerprint-scoped, so it can never
 // resume into a different campaign). Nothing is buffered per client —
-// chunks are read straight from the committed shard files — so a crash
-// loses no stream state that matters.
+// chunks are read straight from the coordinator's committed shard log —
+// so a crash loses no stream state that matters.
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ncg/internal/cycles"
 	"ncg/internal/game"
@@ -70,19 +71,43 @@ func EncodeGraph(g *graph.Graph) string {
 	return hex.EncodeToString(buf)
 }
 
-// DecodeGraph reverses EncodeGraph for an n-agent network.
+// DecodeGraph reverses EncodeGraph for an n-agent network. The encoding
+// may come from an untrusted record, so it is checked before loading: the
+// right length for n, no bits past agent n-1, no self-loops and no edge
+// claimed by both endpoints.
 func DecodeGraph(n int, s string) (*graph.Graph, error) {
 	raw, err := hex.DecodeString(s)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: bad state encoding: %v", err)
 	}
-	if len(raw) != 8*graph.EncodedWords(n) {
-		return nil, fmt.Errorf("campaign: state encoding is %d bytes, want %d for n=%d",
-			len(raw), 8*graph.EncodedWords(n), n)
+	// A valid encoding holds at least 8 bytes per agent, so n > len(raw)
+	// is rejected before EncodedWords(n) could overflow.
+	if n < 0 || n > len(raw) || len(raw) != 8*graph.EncodedWords(n) {
+		return nil, fmt.Errorf("campaign: state encoding is %d bytes, not a valid length for n=%d", len(raw), n)
 	}
 	words := make([]uint64, len(raw)/8)
 	for i := range words {
 		words[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	w := (n + 63) / 64
+	row := func(u int) graph.Bitset { return graph.Bitset(words[u*w : (u+1)*w]) }
+	for u := 0; u < n; u++ {
+		r := row(u)
+		if n%64 != 0 && r[w-1]>>(n%64) != 0 {
+			return nil, fmt.Errorf("campaign: state encoding row %d names agents beyond n=%d", u, n)
+		}
+		if r.Has(u) {
+			return nil, fmt.Errorf("campaign: state encoding has a self-loop at %d", u)
+		}
+		both := -1
+		r.ForEach(func(v int) {
+			if both < 0 && row(v).Has(u) {
+				both = v
+			}
+		})
+		if both >= 0 {
+			return nil, fmt.Errorf("campaign: state encoding has edge {%d,%d} owned by both ends", u, both)
+		}
 	}
 	g := graph.New(n)
 	g.LoadOwnedRows(words)
@@ -120,11 +145,14 @@ func (r Record) DecodeStart() (*graph.Graph, error) {
 }
 
 // DecodeCycle reconstructs the hit's best-response cycle by replaying the
-// move trace from the cycle's first state. It verifies that the trajectory
-// closes — exactly for ownership-aware games, up to ownership for
-// ownership-blind ones, whose stored states carry the interned store's
-// canonical orientation — so a decoded cycle is structurally sound even
-// from an untrusted record file.
+// move trace from the cycle's first state. Every move is checked before it
+// is applied — agent, drops and adds in [0,N), no self-loops, each drop an
+// existing edge and each add a non-edge at that point of the replay — and
+// the trajectory must close: exactly for ownership-aware games, up to
+// ownership for ownership-blind ones, whose stored states carry the
+// interned store's canonical orientation. So a decoded cycle is
+// structurally sound even from an untrusted record file, and a malformed
+// one is an error, never a panic.
 func (r Record) DecodeCycle() (*cycles.FoundCycle, error) {
 	if !r.Hit {
 		return nil, fmt.Errorf("campaign: record %s/%s #%d is not a hit", r.Sampler, r.Variant, r.Instance)
@@ -135,7 +163,10 @@ func (r Record) DecodeCycle() (*cycles.FoundCycle, error) {
 	}
 	fc := &cycles.FoundCycle{Moves: r.GameMoves()}
 	cur := g.Clone()
-	for _, m := range fc.Moves {
+	for i, m := range fc.Moves {
+		if err := checkMove(cur, m); err != nil {
+			return nil, fmt.Errorf("campaign: record %s/%s #%d: move %d: %v", r.Sampler, r.Variant, r.Instance, i, err)
+		}
 		fc.States = append(fc.States, cur.Clone())
 		game.Apply(cur, m)
 	}
@@ -143,6 +174,37 @@ func (r Record) DecodeCycle() (*cycles.FoundCycle, error) {
 		return nil, fmt.Errorf("campaign: record %s/%s #%d: cycle trace does not close", r.Sampler, r.Variant, r.Instance)
 	}
 	return fc, nil
+}
+
+// checkMove reports why game.Apply would reject (panic on) m in state g:
+// drops are applied first, so an add may re-add a vertex the same move
+// dropped, but no vertex may be dropped or added twice.
+func checkMove(g *graph.Graph, m game.Move) error {
+	n := g.N()
+	if m.Agent < 0 || m.Agent >= n {
+		return fmt.Errorf("agent %d outside [0,%d)", m.Agent, n)
+	}
+	for i, v := range m.Drop {
+		switch {
+		case v < 0 || v >= n:
+			return fmt.Errorf("drop %d outside [0,%d)", v, n)
+		case v == m.Agent:
+			return fmt.Errorf("drop of self-loop at %d", v)
+		case !g.HasEdge(m.Agent, v) || slices.Contains(m.Drop[:i], v):
+			return fmt.Errorf("drop of non-edge {%d,%d}", m.Agent, v)
+		}
+	}
+	for i, v := range m.Add {
+		switch {
+		case v < 0 || v >= n:
+			return fmt.Errorf("add %d outside [0,%d)", v, n)
+		case v == m.Agent:
+			return fmt.Errorf("add of self-loop at %d", v)
+		case g.HasEdge(m.Agent, v) && !slices.Contains(m.Drop, v) || slices.Contains(m.Add[:i], v):
+			return fmt.Errorf("add of existing edge {%d,%d}", m.Agent, v)
+		}
+	}
+	return nil
 }
 
 // Sink consumes the per-instance records of a campaign run. Run delivers

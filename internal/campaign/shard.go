@@ -173,7 +173,7 @@ func RunShard(ctx context.Context, c Campaign, ref ShardRef, onInstance func(ins
 
 // MarshalRecords encodes records exactly as the JSONL sink writes them —
 // one json.Encoder line per record — so a worker's upload, the
-// coordinator's shard files and the merged stream are all byte-compatible
+// coordinator's shard log and the merged stream are all byte-compatible
 // with a single-process Run into a JSONLSink.
 func MarshalRecords(recs []Record) ([]byte, error) {
 	var buf bytes.Buffer

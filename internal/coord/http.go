@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 
 	"ncg/internal/campaign"
 	"ncg/internal/faultinject"
-	"ncg/internal/jsonl"
 )
 
 // The wire types of the lease protocol (plain JSON over POST).
@@ -218,15 +215,17 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleComplete persists a finished shard. The durability order is the
-// crash-safety invariant: (1) shard file written atomically, (2) manifest
-// entry appended with fsync, (3) in-memory state marked done. A crash
-// between (1) and (2) leaves an orphan file recovery ignores and re-runs;
-// a crash inside (2) leaves a torn manifest tail recovery truncates. A
-// complete for an already-done shard verifies the bytes match and
-// acknowledges — re-executed leases are idempotent, never an error. A
-// complete whose lease expired (or was never granted, after a coordinator
-// restart) is accepted the same way: the records are deterministic, so
-// the upload's validity does not depend on who holds the lease.
+// crash-safety invariant: (1) records written at the shard log's
+// committed end and fsynced, (2) manifest entry naming that span appended
+// with fsync, (3) the committed end advanced and in-memory state marked
+// done. A crash between (1) and (2) leaves an uncommitted log tail
+// recovery cuts (the shard re-runs); a crash inside (2) leaves a torn
+// manifest tail recovery truncates. A complete for an already-done shard
+// verifies the bytes match and acknowledges — re-executed leases are
+// idempotent, never an error. A complete whose lease expired (or was
+// never granted, after a coordinator restart) is accepted the same way:
+// the records are deterministic, so the upload's validity does not
+// depend on who holds the lease.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decode(w, r, &req) {
@@ -273,14 +272,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		c.crash("shard-write")
 		c.gone(w)
 		return
+	case faultinject.Torn:
+		c.writeLog(data[:len(data)/2])
+		c.crash("shard-write-torn")
+		c.gone(w)
+		return
 	}
-	if err := jsonl.AtomicWriteFile(filepath.Join(c.cfg.Dir, shardFileName(req.Index)), data, 0o644); err != nil {
+	if err := c.writeLog(data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	entry := manifestEntry{
 		Type: "shard", Index: req.Index, Shard: ref,
-		File: shardFileName(req.Index), Bytes: int64(len(data)), Sum: checksum(data),
+		File: shardLogName, Offset: c.logEnd, Bytes: int64(len(data)), Sum: checksum(data),
 		Records: len(recs), Hits: hits,
 	}
 	switch c.cfg.Injector.Fire(faultinject.ManifestAppend) {
@@ -298,8 +302,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	c.logEnd += entry.Bytes
 	c.states[req.Index] = shardState{
-		status: shardDone, bytes: int64(len(data)), sum: entry.Sum,
+		status: shardDone, off: entry.Offset, bytes: entry.Bytes, sum: entry.Sum,
 		records: len(recs), hits: hits,
 	}
 	// Wake stream waiters: if this shard extended the committed prefix,
@@ -321,10 +326,22 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	reply(w, CompleteResponse{OK: true, Done: c.merged})
 }
 
+// writeLog writes data at the shard log's committed end and fsyncs it.
+// It does not advance the end: that happens only once the manifest
+// vouches for the bytes, so a failed or uncommitted write is simply
+// overwritten by the next one. Callers hold mu.
+func (c *Coordinator) writeLog(data []byte) error {
+	if _, err := c.log.WriteAt(data, c.logEnd); err != nil {
+		return err
+	}
+	return c.log.Sync()
+}
+
 // validateShard is the upload integrity gate: the records must cover
 // exactly the shard's instance range, in order, from this campaign's seed
-// streams. It keeps a confused or stale worker from ever contaminating
-// the canonical stream.
+// streams, and every hit must carry a decodable start network and a
+// cycle trace that replays legally and closes. It keeps a confused, stale
+// or tampering worker from ever contaminating the canonical stream.
 func (c *Coordinator) validateShard(ref campaign.ShardRef, recs []campaign.Record) error {
 	if len(recs) != ref.Hi-ref.Lo {
 		return fmt.Errorf("shard %s upload has %d records, want %d", ref, len(recs), ref.Hi-ref.Lo)
@@ -333,6 +350,15 @@ func (c *Coordinator) validateShard(ref campaign.ShardRef, recs []campaign.Recor
 		if rec.Campaign != c.camp.Name || rec.Sampler != ref.Sampler || rec.Variant != ref.Variant || rec.Instance != ref.Lo+i {
 			return fmt.Errorf("shard %s upload record %d is %s/%s/%s #%d, not this shard's instance %d",
 				ref, i, rec.Campaign, rec.Sampler, rec.Variant, rec.Instance, ref.Lo+i)
+		}
+		if !rec.Hit {
+			continue
+		}
+		if _, err := rec.DecodeStart(); err != nil {
+			return fmt.Errorf("shard %s upload record %d: %v", ref, i, err)
+		}
+		if _, err := rec.DecodeCycle(); err != nil {
+			return fmt.Errorf("shard %s upload record %d: %v", ref, i, err)
 		}
 	}
 	return nil
@@ -349,7 +375,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecords streams the canonical record prefix: the concatenation of
-// completed shard files up to the first incomplete shard — exactly a
+// completed shards' log spans up to the first incomplete shard — exactly a
 // prefix of the final merged stream, so a client can tail a hunt live and
 // later reads only ever extend what it saw.
 func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
@@ -358,26 +384,13 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 		c.mu.Unlock()
 		return
 	}
-	var files []string
-	complete := true
-	for i := range c.plan {
-		if c.states[i].status != shardDone {
-			complete = false
-			break
-		}
-		files = append(files, filepath.Join(c.cfg.Dir, shardFileName(i)))
-	}
+	spans := c.chunkSpansLocked(0, c.prefixLocked())
+	complete := c.doneCount() == len(c.plan)
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/jsonl")
 	w.Header().Set("X-Ncg-Complete", fmt.Sprintf("%v", complete))
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return
-		}
-		_, err = io.Copy(w, f)
-		f.Close()
-		if err != nil {
+	for _, sp := range spans {
+		if _, err := io.Copy(w, io.NewSectionReader(c.log, sp.off, sp.n)); err != nil {
 			return
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 
 	"ncg/internal/campaign"
 	"ncg/internal/jsonl"
@@ -13,11 +12,12 @@ import (
 
 // manifestEntry is one line of the coordinator's append-only manifest — a
 // write-ahead log of shard completions. The manifest commits a shard only
-// after its file is durably (atomically) on disk, so recovery trusts a
-// "shard" entry exactly when the referenced file still matches its
-// recorded length and checksum. The file shares the repository's
-// truncated-tail JSONL semantics: a torn tail (a crash mid-append) is cut
-// on recovery and the lost entries' shards simply re-run.
+// after its records are appended and fsynced to the shard log, so
+// recovery trusts a "shard" entry exactly when the log span it names
+// still matches its recorded length and checksum. The file shares the
+// repository's truncated-tail JSONL semantics: a torn tail (a crash
+// mid-append) is cut on recovery and the lost entries' shards simply
+// re-run.
 type manifestEntry struct {
 	// Type is "campaign" (the header), "shard" (a completed shard) or
 	// "merged" (the final stream was written).
@@ -28,17 +28,24 @@ type manifestEntry struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	ShardSize   int    `json:"shardSize,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
-	// Shard fields: the plan index and the persisted file's identity.
+	// Shard fields: the plan index and the identity of the persisted
+	// records: File names the shard log (entries naming anything else
+	// are re-run), Offset and Bytes the span inside it.
 	Index   int               `json:"index,omitempty"`
 	Shard   campaign.ShardRef `json:"shard,omitempty"`
 	File    string            `json:"file,omitempty"`
+	Offset  int64             `json:"offset,omitempty"`
 	Bytes   int64             `json:"bytes,omitempty"`
 	Sum     string            `json:"sum,omitempty"`
 	Records int               `json:"records,omitempty"`
 	Hits    int               `json:"hits,omitempty"`
 }
 
-// checksum is the manifest's file integrity hash (FNV-64a over the full
+// shardLogName is the shard log's file name inside the coordinator
+// directory.
+const shardLogName = "shards.log"
+
+// checksum is the manifest's integrity hash (FNV-64a over the full
 // content) — not cryptographic, just torn/stale-write detection.
 func checksum(data []byte) string {
 	h := fnv.New64a()
@@ -114,9 +121,3 @@ func (m *manifest) appendTorn(e manifestEntry) error {
 
 // close releases the append handle.
 func (m *manifest) close() error { return m.f.Close() }
-
-// shardFileName is the canonical relative path of a plan index's shard
-// file inside the coordinator directory.
-func shardFileName(index int) string {
-	return filepath.Join("shards", fmt.Sprintf("shard-%06d.jsonl", index))
-}

@@ -237,7 +237,7 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 
 // TestRegistryStateDirsAreIndependent double-checks the per-campaign
 // layout: each hosted campaign owns RegistryConfig.Dir/<name> with its
-// own manifest and shard files.
+// own manifest and shard log.
 func TestRegistryStateDirsAreIndependent(t *testing.T) {
 	reg, srv := twoCampaignRegistry(t)
 	runWorkers(t, srv.URL+"/c/alpha", 2)

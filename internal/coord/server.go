@@ -1,13 +1,14 @@
 // Package coord is the fault-tolerant campaign service: a lease-based
 // coordinator that decomposes a resolved campaign into (sampler, variant,
 // instance-range) shards, leases them to worker processes over plain
-// HTTP+JSON, re-leases expired shards, and merges the completed shard
-// files into the one canonical deterministic record stream — the exact
-// bytes a single-process campaign.Run would have written. Robustness is
-// the design center: every shard is idempotent (records are keyed by
-// (sampler, variant, instance), never by scheduling, so a re-executed
-// lease produces byte-identical JSONL), every durable write is atomic or
-// append-fsync with truncated-tail recovery, and the whole protocol is
+// HTTP+JSON, re-leases expired shards, and merges the completed shards'
+// records — appended to one shard log — into the one canonical
+// deterministic record stream: the exact bytes a single-process
+// campaign.Run would have written. Robustness is the design center: every
+// shard is idempotent (records are keyed by (sampler, variant, instance),
+// never by scheduling, so a re-executed lease produces byte-identical
+// JSONL), every durable write is atomic or append-fsync with
+// truncated-tail recovery, and the whole protocol is
 // exercised under seeded fault injection (internal/faultinject) that
 // proves the merged stream survives crashes, torn writes, dropped
 // heartbeats, stalls and duplicate leases.
@@ -32,8 +33,9 @@ type Config struct {
 	// started with; the fingerprint handshake rejects any drift.
 	Campaign campaign.Campaign
 	// Dir is the coordinator's state directory: manifest.jsonl (the
-	// write-ahead log of shard completions), shards/ (one atomic file per
-	// completed shard) and records.jsonl (the merged canonical stream).
+	// write-ahead log of shard completions), shards.log (the append-only
+	// log of completed shards' records, addressed by the manifest's
+	// offsets) and records.jsonl (the merged canonical stream).
 	// A coordinator restarted on the same directory resumes exactly
 	// where the manifest says it was.
 	Dir string
@@ -48,7 +50,7 @@ type Config struct {
 	MaxStreamClients int
 	// StreamChunkBytes bounds the bytes a single stream response (or SSE
 	// burst) carries (0: 256 KiB). Streaming serves the committed prefix
-	// directly from the durable shard files in chunks of at most this
+	// directly from the durable shard log in chunks of at most this
 	// size, so a client costs the coordinator O(chunk) memory no matter
 	// how far behind it is.
 	StreamChunkBytes int
@@ -90,6 +92,7 @@ type lease struct {
 // shardState is the coordinator's view of one planned shard.
 type shardState struct {
 	status  shardStatus
+	off     int64 // start of the shard's records in the shard log
 	bytes   int64
 	sum     string
 	records int
@@ -133,8 +136,14 @@ type Coordinator struct {
 	fpSum string // short fingerprint hash; the campaign id inside resume cursors
 	plan  []campaign.ShardRef
 
-	mu      sync.Mutex
-	man     *manifest
+	mu  sync.Mutex
+	man *manifest
+	// log is the append-only shard log; committed shards occupy
+	// [0, logEnd) and the next completed shard is written at logEnd.
+	// Bytes below logEnd are never rewritten, so readers may ReadAt
+	// committed spans without holding mu.
+	log     *os.File
+	logEnd  int64
 	states  []shardState
 	leases  map[string]*lease
 	nextID  int64
@@ -156,13 +165,14 @@ type Coordinator struct {
 }
 
 // Open creates or resumes a coordinator on cfg.Dir: it replays the
-// manifest (truncating a torn tail), verifies every recorded shard file
-// against its length and checksum — a shard whose file was lost or
-// damaged simply becomes pending again — and, if the plan is already
-// complete, merges. Crash-safety contract: the manifest commits a shard
-// only after its file is durable, so recovery never trusts a file the
-// log does not vouch for, and vice versa a logged-but-damaged file is
-// re-run, never merged.
+// manifest (truncating a torn tail), verifies every recorded shard's
+// span of the shard log against its length and checksum — a shard whose
+// bytes were lost or damaged simply becomes pending again — cuts any
+// uncommitted log tail, and, if the plan is already complete, merges.
+// Crash-safety contract: the manifest commits a shard only after its
+// bytes are durable in the log, so recovery never trusts bytes the
+// manifest does not vouch for, and vice versa a logged-but-damaged span
+// is re-run, never merged.
 func Open(cfg Config) (*Coordinator, error) {
 	camp, err := campaign.Resolve(cfg.Campaign, campaign.Options{})
 	if err != nil {
@@ -199,11 +209,19 @@ func Open(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Join(cfg.Dir, "shards"), 0o755); err != nil {
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	// The log is created before the manifest: on a fresh directory the
+	// manifest's atomic create fsyncs the directory, which commits the
+	// log's directory entry too.
+	log, err := os.OpenFile(filepath.Join(cfg.Dir, shardLogName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
 		return nil, err
 	}
 	man, entries, err := openManifest(filepath.Join(cfg.Dir, "manifest.jsonl"))
 	if err != nil {
+		log.Close()
 		return nil, err
 	}
 	fp := campaign.Fingerprint(camp)
@@ -214,6 +232,7 @@ func Open(cfg Config) (*Coordinator, error) {
 		fpSum:    checksum([]byte(fp)),
 		plan:     plan,
 		man:      man,
+		log:      log,
 		states:   make([]shardState, len(plan)),
 		leases:   make(map[string]*lease),
 		commitCh: make(chan struct{}),
@@ -222,13 +241,20 @@ func Open(cfg Config) (*Coordinator, error) {
 	}
 	if err := c.recover(entries); err != nil {
 		man.close()
+		log.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// recover replays the manifest entries into run state.
+// recover replays the manifest entries into run state and cuts the shard
+// log back to its committed end.
 func (c *Coordinator) recover(entries []manifestEntry) error {
+	fi, err := c.log.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
 	seenHeader := false
 	mergedLogged := false
 	for _, e := range entries {
@@ -249,20 +275,30 @@ func (c *Coordinator) recover(entries []manifestEntry) error {
 			if e.Index < 0 || e.Index >= len(c.plan) || c.plan[e.Index] != e.Shard {
 				return fmt.Errorf("coord: manifest shard entry %d (%s) does not match the plan", e.Index, e.Shard)
 			}
-			// Trust the entry only if the file still matches; a lost or
-			// damaged file re-runs its shard (idempotent, so harmless).
-			data, err := os.ReadFile(filepath.Join(c.cfg.Dir, e.File))
-			if err != nil || int64(len(data)) != e.Bytes || checksum(data) != e.Sum {
-				c.cfg.Logf("coord: shard %d file %s missing or damaged; re-running", e.Index, e.File)
+			// Trust the entry only if its log span still matches; a lost
+			// or damaged span — or an entry naming any other file, such as
+			// a per-shard file of an older directory layout — re-runs its
+			// shard (idempotent, so harmless).
+			if !c.verifySpan(e, size) {
+				c.cfg.Logf("coord: shard %d (%s at %d) missing or damaged; re-running", e.Index, e.File, e.Offset)
 				c.states[e.Index] = shardState{status: shardPending}
 				continue
 			}
 			c.states[e.Index] = shardState{
-				status: shardDone, bytes: e.Bytes, sum: e.Sum,
+				status: shardDone, off: e.Offset, bytes: e.Bytes, sum: e.Sum,
 				records: e.Records, hits: e.Hits,
 			}
+			c.logEnd = max(c.logEnd, e.Offset+e.Bytes)
 		case "merged":
 			mergedLogged = true
+		}
+	}
+	// Anything past the last verified span is an uncommitted tail (a
+	// crash between the log write and the manifest append); cut it so the
+	// next shard lands right after the committed ones.
+	if size > c.logEnd {
+		if err := c.log.Truncate(c.logEnd); err != nil {
+			return err
 		}
 	}
 	if !seenHeader {
@@ -288,6 +324,19 @@ func (c *Coordinator) recover(entries []manifestEntry) error {
 	return nil
 }
 
+// verifySpan reports whether a manifest shard entry's bytes are intact
+// in the shard log of the given size.
+func (c *Coordinator) verifySpan(e manifestEntry, size int64) bool {
+	if e.File != shardLogName || e.Offset < 0 || e.Bytes < 0 || e.Bytes > size-e.Offset {
+		return false
+	}
+	data := make([]byte, e.Bytes)
+	if _, err := c.log.ReadAt(data, e.Offset); err != nil {
+		return false
+	}
+	return checksum(data) == e.Sum
+}
+
 // doneCount counts completed shards. Callers hold mu or are in Open.
 func (c *Coordinator) doneCount() int {
 	done := 0
@@ -311,11 +360,16 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // chaos harness restarts it with Open on the same directory.
 func (c *Coordinator) Crashed() <-chan struct{} { return c.crashCh }
 
-// Close releases the manifest handle. The directory remains resumable.
+// Close releases the manifest and shard-log handles. The directory
+// remains resumable.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.man.close()
+	err := c.man.close()
+	if lerr := c.log.Close(); err == nil {
+		err = lerr
+	}
+	return err
 }
 
 // crash simulates process death: all subsequent requests fail with 503
@@ -325,6 +379,7 @@ func (c *Coordinator) crash(site string) {
 		c.cfg.Logf("coord: injected crash at %s", site)
 		c.crashed = true
 		c.man.close()
+		c.log.Close()
 		close(c.crashCh)
 		// Wake long-poll stream waiters so they observe the crash (503)
 		// now instead of sleeping out their poll window against a corpse.
@@ -367,20 +422,21 @@ func (c *Coordinator) grant(index int, worker string, now time.Time) *lease {
 	return l
 }
 
-// mergeLocked concatenates the shard files in plan order into the
+// mergeLocked concatenates the shards' log spans in plan order into the
 // canonical result stream, atomically, and logs the merge. Callers hold
 // mu (or are in Open's single-threaded recovery).
 func (c *Coordinator) mergeLocked() error {
-	var out []byte
-	for i := range c.plan {
-		data, err := os.ReadFile(filepath.Join(c.cfg.Dir, shardFileName(i)))
-		if err != nil {
+	out := make([]byte, c.prefixLocked())
+	var at int64
+	for i, st := range c.states {
+		data := out[at : at+st.bytes]
+		if _, err := c.log.ReadAt(data, st.off); err != nil {
 			return fmt.Errorf("coord: merge: %v", err)
 		}
-		if checksum(data) != c.states[i].sum {
-			return fmt.Errorf("coord: merge: shard %d file no longer matches its manifest checksum", i)
+		if checksum(data) != st.sum {
+			return fmt.Errorf("coord: merge: shard %d no longer matches its manifest checksum", i)
 		}
-		out = append(out, data...)
+		at += st.bytes
 	}
 	if err := jsonl.AtomicWriteFile(c.ResultPath(), out, 0o644); err != nil {
 		return err
@@ -409,7 +465,7 @@ func (c *Coordinator) notifyCommit() {
 }
 
 // prefixLocked returns the byte length of the committed record prefix:
-// the concatenation of done-shard files in plan order up to the first
+// the concatenation of done shards' records in plan order up to the first
 // incomplete shard. Within one coordinator incarnation this only grows
 // (shards in the prefix never revert), and its bytes are deterministic,
 // so it is always a byte-prefix of the final canonical records.jsonl.

@@ -1,13 +1,13 @@
 package coord
 
 // The live result stream: GET /v1/stream serves the committed
-// merged-record prefix — the concatenation of completed shard files in
-// plan order up to the first incomplete shard, always a byte-prefix of
+// merged-record prefix — the concatenation of completed shards' records
+// in plan order up to the first incomplete shard, always a byte-prefix of
 // the canonical records.jsonl — to many concurrent clients, with overload
 // safety as the design center:
 //
 //   - No in-memory fan-out. Every chunk is read straight from the durable
-//     shard files at serve time; the coordinator holds O(StreamChunkBytes)
+//     shard log at serve time; the coordinator holds O(StreamChunkBytes)
 //     per in-flight response and nothing per idle or lagging client.
 //   - Monotonic resume cursors. A cursor is "<campaign-sum>:<offset>"; a
 //     client advances it only after fully reading a chunk, so a
@@ -31,8 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -112,20 +110,21 @@ func (c *Coordinator) cursorToken(off int64, hits bool) string {
 	return fmt.Sprintf("%s:%d", c.fpSum, off)
 }
 
-// fileSpan is one contiguous read from a shard file.
-type fileSpan struct {
-	path string
-	off  int64
-	n    int64
+// logSpan is one contiguous read from the shard log.
+type logSpan struct {
+	off int64
+	n   int64
 }
 
-// chunkSpansLocked maps the byte range [off, off+max) of the committed
-// prefix onto shard-file reads, clamped to the committed length. Callers
-// hold mu; the file IO itself happens after mu is released — the merge
-// and lease paths never wait on a stream read.
-func (c *Coordinator) chunkSpansLocked(off int64, max int) []fileSpan {
-	var spans []fileSpan
-	want := int64(max)
+// chunkSpansLocked maps the byte range [off, off+limit) of the committed
+// prefix onto shard-log reads, clamped to the committed length; shards
+// that sit back to back in the log share one span. Callers hold mu; the
+// IO itself happens after mu is released — the merge and lease paths
+// never wait on a stream read, and the spans stay valid because
+// committed log bytes are never rewritten.
+func (c *Coordinator) chunkSpansLocked(off, limit int64) []logSpan {
+	var spans []logSpan
+	want := limit
 	var at int64
 	for i := range c.states {
 		if c.states[i].status != shardDone || want <= 0 {
@@ -141,11 +140,12 @@ func (c *Coordinator) chunkSpansLocked(off int64, max int) []fileSpan {
 			if n > want {
 				n = want
 			}
-			spans = append(spans, fileSpan{
-				path: filepath.Join(c.cfg.Dir, shardFileName(i)),
-				off:  skip,
-				n:    n,
-			})
+			start := c.states[i].off + skip
+			if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == start {
+				spans[k].n += n
+			} else {
+				spans = append(spans, logSpan{off: start, n: n})
+			}
 			want -= n
 			off += n
 		}
@@ -157,22 +157,21 @@ func (c *Coordinator) chunkSpansLocked(off int64, max int) []fileSpan {
 // readChunk reads the spans into one bounded buffer and truncates at the
 // last record boundary (newline) so resume cursors land between records;
 // a single over-long record line is served unsplit (progress beats
-// alignment). Returns nil on any read failure — the caller treats it as
-// "nothing readable right now" and the client re-polls.
-func readChunk(spans []fileSpan) []byte {
-	var buf []byte
+// alignment). Returns nil on any read failure (the handle closes when
+// the coordinator crashes or shuts down under a reader) — the caller
+// treats it as "nothing readable right now" and the client re-polls.
+func (c *Coordinator) readChunk(spans []logSpan) []byte {
+	var total int64
 	for _, sp := range spans {
-		f, err := os.Open(sp.path)
-		if err != nil {
+		total += sp.n
+	}
+	buf := make([]byte, total)
+	var at int64
+	for _, sp := range spans {
+		if _, err := c.log.ReadAt(buf[at:at+sp.n], sp.off); err != nil {
 			return nil
 		}
-		part := make([]byte, sp.n)
-		_, err = f.ReadAt(part, sp.off)
-		f.Close()
-		if err != nil {
-			return nil
-		}
-		buf = append(buf, part...)
+		at += sp.n
 	}
 	if i := bytes.LastIndexByte(buf, '\n'); i >= 0 && i+1 < len(buf) {
 		buf = buf[:i+1]
@@ -325,18 +324,18 @@ func (c *Coordinator) nextChunk(r *http.Request, off int64, max int, deadline ti
 		}
 		prefix := c.prefixLocked()
 		merged := c.merged
-		var spans []fileSpan
+		var spans []logSpan
 		if off < prefix {
-			spans = c.chunkSpansLocked(off, max)
+			spans = c.chunkSpansLocked(off, int64(max))
 		}
 		wait := c.commitCh
 		c.mu.Unlock()
 		if spans != nil {
-			if chunk := readChunk(spans); len(chunk) > 0 {
+			if chunk := c.readChunk(spans); len(chunk) > 0 {
 				return chunk, merged && off+int64(len(chunk)) == prefix, false
 			}
-			// A shard file vanished mid-read (damaged underneath a live
-			// coordinator); surface as an empty poll, not corrupt bytes.
+			// The log read failed (the handle closed under a crash or
+			// shutdown); surface as an empty poll, not corrupt bytes.
 		}
 		if merged && off == prefix {
 			return nil, true, false
@@ -465,7 +464,7 @@ func (c *Coordinator) writeChunk(w http.ResponseWriter, chunk []byte) {
 // one event per record line, each carrying its resume cursor as the SSE
 // id (so EventSource's automatic Last-Event-ID reconnect resumes
 // exactly), closed with a "complete" event at the merged end. Chunks are
-// still bounded and file-backed; a slow consumer hits the per-write
+// still bounded and log-backed; a slow consumer hits the per-write
 // deadline and is evicted.
 // In filtered mode (?hits=1) only hit records become events; the id of an
 // event is the scan position after its line, so a Last-Event-ID reconnect

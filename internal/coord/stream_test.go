@@ -568,7 +568,10 @@ func FuzzStreamCursor(f *testing.F) {
 
 // hitCampaign is a deterministic mix of hit and miss records: the check
 // accepts exactly the n == 6 paths, so hits land at instances 3, 8, 13, 18
-// of a 20-instance enumerated sweep.
+// of a 20-instance enumerated sweep. The designated trace (agent 0 swaps
+// its edge to 1 over to 2 and back) replays legally on every accepted
+// path and closes up to ownership, so the coordinator's hit decoding gate
+// admits the uploads.
 func hitCampaign() campaign.Campaign {
 	return campaign.Campaign{
 		Name: "coord-hits",
@@ -582,7 +585,10 @@ func hitCampaign() campaign.Campaign {
 		NewCheck: func() func(g *graph.Graph) bool {
 			return func(g *graph.Graph) bool { return g.N() == 6 }
 		},
-		Moves: []game.Move{{Agent: 0, Drop: []int{1}, Add: []int{2}}},
+		Moves: []game.Move{
+			{Agent: 0, Drop: []int{1}, Add: []int{2}},
+			{Agent: 0, Drop: []int{2}, Add: []int{1}},
+		},
 	}
 }
 

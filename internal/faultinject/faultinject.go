@@ -1,5 +1,5 @@
 // Package faultinject is the deterministic fault seam of the campaign
-// service: coordinator, worker and the shard-file writers ask an Injector
+// service: coordinator, worker and stream client ask an Injector
 // before every fallible operation whether a scheduled fault fires there.
 // Schedules are pure functions of a seed, so a chaos run — crashes before
 // commit, torn tails, dropped heartbeats, stalled workers, duplicate lease
@@ -22,12 +22,15 @@ type Point string
 
 // The fault sites of the campaign service.
 const (
-	// ShardWrite guards the coordinator persisting a completed shard
-	// file. Crash loses the upload before anything reaches disk.
+	// ShardWrite guards the coordinator appending a completed shard's
+	// records to the shard log. Crash loses the upload before anything
+	// reaches disk; Torn fsyncs a prefix of the records to the log and
+	// then crashes, leaving an uncommitted log tail recovery must cut.
 	ShardWrite Point = "shard-write"
 	// ManifestAppend guards the coordinator committing a manifest entry
-	// after the shard file is durable. Crash leaves an orphan shard file;
-	// Torn leaves a torn manifest tail.
+	// after the shard's records are durable in the log. Crash leaves an
+	// uncommitted (complete but unvouched) log tail; Torn leaves a torn
+	// manifest tail as well.
 	ManifestAppend Point = "manifest-append"
 	// LeaseGrant guards the coordinator handing a shard to a worker.
 	// Duplicate re-grants a shard that is already leased.
@@ -150,7 +153,7 @@ var pointKinds = []struct {
 	p     Point
 	kinds []Kind
 }{
-	{ShardWrite, []Kind{Crash}},
+	{ShardWrite, []Kind{Crash, Torn}},
 	{ManifestAppend, []Kind{Crash, Torn}},
 	{LeaseGrant, []Kind{Duplicate}},
 	{Heartbeat, []Kind{Drop, Crash}},

@@ -429,8 +429,9 @@ var (
 // Fault-tolerant campaign service: a lease-based coordinator decomposes a
 // campaign into (sampler, variant, instance-range) shards, leases them to
 // worker processes over plain HTTP+JSON, re-leases expired shards, and
-// merges the completed shard files into the exact byte stream a
-// single-process RunCampaign would have written. Shards are idempotent
+// merges the completed shards' records, appended to one durable shard
+// log, into the exact byte stream a single-process RunCampaign would
+// have written. Shards are idempotent
 // (records are keyed by (sampler, variant, instance), never by
 // scheduling), every durable write is atomic or append-fsync with
 // truncated-tail recovery, and the coordinator resumes from its manifest
