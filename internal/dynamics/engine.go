@@ -283,12 +283,15 @@ func (e *engine) unhappy(dst []int) []int {
 // The matrix is constructed by the batched bit-parallel BFS kernel, 64
 // sources per pass (optionally sharded over the worker pool). Added edges
 // are folded in with the exact single-insertion rule
-// d'(a,b) = min(d(a,b), d(a,u)+1+d(y,b), d(a,y)+1+d(u,b)); for removed
-// edges {u,x}, a source row can only change if some shortest path from it
+// d'(a,b) = min(d(a,b), d(a,u)+1+d(y,b), d(a,y)+1+d(u,b)), of which only
+// the term through the endpoint nearer to a can win; for removed edges
+// {u,x}, a source row can only change if some shortest path from it
 // crossed the edge, which requires |d(a,u) - d(a,x)| = 1; rows meeting that
 // are repaired by PartialBFS over their damage, except that rows with more
 // than n/2 damaged entries are collected and re-searched together by one
-// batched BFS pass over the post-move network.
+// batched BFS pass over the post-move network. Both updates fold the
+// aggregates of the rows they change as they go (see addEdge and
+// dropEdge) rather than rescanning them.
 type costCache struct {
 	n       int
 	d       []int32 // row-major distance matrix
@@ -299,6 +302,7 @@ type costCache struct {
 	repair  *graph.RepairScratch
 	batch   *graph.BatchBFSScratch
 	suspect graph.Bitset
+	dmg     []int32 // damaged entries of the row being repaired (PartialBFS consumes suspect)
 	oldU    []int32 // pre-removal rows of the dropped edge's endpoints
 	oldX    []int32
 	res     []graph.BFSResult // batch aggregate staging
@@ -319,6 +323,7 @@ func newCostCacheShell(n int) *costCache {
 		repair:  graph.NewRepairScratch(n),
 		batch:   graph.NewBatchBFSScratch(n),
 		suspect: graph.NewBitset(n),
+		dmg:     make([]int32, 0, n),
 		oldU:    make([]int32, n),
 		oldX:    make([]int32, n),
 		res:     make([]graph.BFSResult, n),
@@ -481,11 +486,19 @@ func (c *costCache) update(g graph.Store, mv game.Move) {
 // survivors, costing O(n) plus local work instead of a full search. Rows
 // with more than n/2 damaged entries are cheaper to re-search outright;
 // they are queued and re-run together in one batched BFS pass.
+//
+// The aggregates of a repaired row are folded from its damaged entries
+// alone: their old values leave the sum and their settled values join it,
+// and since removing an edge only lengthens distances, the eccentricity can
+// only rise to one of them. A damaged entry left Unreachable shrinks the
+// component, whose eccentricity may then fall, so such a row is
+// re-aggregated from scratch.
 func (c *costCache) dropEdge(g graph.Store, u, x int) {
 	n := c.n
 	copy(c.oldU, c.row(u))
 	copy(c.oldX, c.row(x))
 	c.refresh = c.refresh[:0]
+rows:
 	for a := 0; a < n; a++ {
 		row := c.row(a)
 		au, ax := row[u], row[x]
@@ -499,30 +512,51 @@ func (c *costCache) dropEdge(g graph.Store, u, x int) {
 			ap = ax
 		}
 		c.suspect.Reset()
-		damaged := 0
+		// The edge existed, so a reaches both endpoints or neither; with
+		// au != ax the nearer is finite, and so is every damaged entry.
+		dmg := c.dmg[:0]
+		sum := c.sum[a]
 		for v := 0; v < n; v++ {
 			if row[v] == ap+1+oldQ[v] {
+				sum -= int64(row[v])
 				row[v] = graph.Unreachable
 				c.suspect.Set(v)
-				damaged++
+				dmg = append(dmg, int32(v))
 			}
 		}
-		if damaged == 0 {
+		c.dmg = dmg
+		if len(dmg) == 0 {
 			continue
 		}
-		if damaged > n/2 {
+		if len(dmg) > n/2 {
 			c.refresh = append(c.refresh, a)
 			continue
 		}
 		g.PartialBFS(row, c.suspect, c.repair)
-		c.aggregateRow(a)
+		ecc := c.ecc[a]
+		for _, v := range dmg {
+			dv := row[v]
+			if dv >= graph.Unreachable {
+				c.aggregateRow(a)
+				continue rows
+			}
+			sum += int64(dv)
+			ecc = max(ecc, dv)
+		}
+		c.sum[a] = sum
+		c.ecc[a] = ecc
 	}
 	c.flushRefresh(g)
 }
 
-// addEdge applies the exact single-edge-insertion rule for {u,y}. Working
-// in place is sound: every already-updated value is a true post-insertion
-// distance, so the minima never undershoot.
+// addEdge applies the exact single-edge-insertion rule for {u,y}. For a
+// source a with endpoint distances at least two apart, only the route
+// through the nearer endpoint p can shorten a path: the route through the
+// farther endpoint q costs d(a,q)+1+d(p,b) > d(a,p)+d(p,b) >= d(a,b). Every
+// such row changes (its entry for q drops to d(a,p)+1), so one pass writes
+// min(d(a,b), d(a,p)+1+d(q,b)) and folds the row's aggregates as it goes.
+// Working in place is sound: every already-updated value is a true
+// post-insertion distance, so the minima never undershoot.
 func (c *costCache) addEdge(u, y int) {
 	n := c.n
 	ru := c.row(u)
@@ -530,31 +564,32 @@ func (c *costCache) addEdge(u, y int) {
 	for a := 0; a < n; a++ {
 		row := c.row(a)
 		au, ay := row[u], row[y]
-		if au >= graph.Unreachable && ay >= graph.Unreachable {
-			continue
-		}
-		// The new edge shortens a path from a only if it bridges endpoint
-		// distances at least two apart: otherwise a->u->y->b is already
+		// Endpoint distances within one of each other (both Unreachable
+		// included) leave the row as it is: a->u->y->b is then already
 		// matched by the triangle route through the nearer endpoint.
 		if d := au - ay; d >= -1 && d <= 1 {
 			continue
 		}
-		changed := false
-		for b := 0; b < n; b++ {
-			best := row[b]
-			if v := au + 1 + ry[b]; v < best {
-				best = v
-			}
-			if v := ay + 1 + ru[b]; v < best {
-				best = v
-			}
-			if best < row[b] {
-				row[b] = best
-				changed = true
-			}
+		base, far := au+1, ry
+		if ay < au {
+			base, far = ay+1, ru
 		}
-		if changed {
-			c.aggregateRow(a)
+		far = far[:len(row)]
+		var sum int64
+		var ecc int32
+		reached := 0
+		for b, old := range row {
+			v := min(old, base+far[b])
+			row[b] = v
+			// m is all ones for a reachable entry and zero for Unreachable
+			// (entries never exceed it), keeping the fold branch-free.
+			m := (v - graph.Unreachable) >> 31
+			sum += int64(v & m)
+			ecc = max(ecc, v&m)
+			reached -= int(m)
 		}
+		c.sum[a] = sum
+		c.ecc[a] = ecc
+		c.reached[a] = reached
 	}
 }

@@ -46,6 +46,40 @@ func BenchmarkCacheBuild512(b *testing.B)    { benchCacheBuild(b, 512, 0, false)
 func BenchmarkCacheBuildWorkers4x256(b *testing.B) { benchCacheBuild(b, 256, 4, false) }
 func BenchmarkCacheBuildWorkers4x512(b *testing.B) { benchCacheBuild(b, 512, 4, false) }
 
+// BenchmarkCostCacheUpdate256 replays the moves of one SUM-ASG max-cost
+// run at n=256 (budget-3 start, seed 1) through costCache.update: the
+// cache upkeep that follows every step of the exact engine. Each iteration
+// restores the start network and its matrix untimed, then times applying
+// the moves and folding them into the cache.
+func BenchmarkCostCacheUpdate256(b *testing.B) {
+	const n = 256
+	start := gen.BudgetNetwork(n, 3, gen.NewRand(1))
+	var moves []game.Move
+	Run(start.Clone(), Config{
+		Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 1,
+		OnStep: func(_, _ int, mv game.Move, _ graph.Store) { moves = append(moves, mv.Clone()) },
+	})
+	base := newCostCache(start)
+	c := newCostCacheShell(n)
+	g := start.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g.CopyFrom(start)
+		copy(c.d, base.d)
+		copy(c.sum, base.sum)
+		copy(c.ecc, base.ecc)
+		copy(c.reached, base.reached)
+		b.StartTimer()
+		for _, mv := range moves {
+			game.ApplyMove(g, mv)
+			c.update(g, mv)
+		}
+	}
+	b.ReportMetric(float64(len(moves)), "moves/op")
+}
+
 // TestCacheBuildShardedMatchesSerial pins the sharded build to the serial
 // one bit for bit, across shard counts and a size that is not a multiple
 // of 64.

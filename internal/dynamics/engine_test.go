@@ -200,6 +200,16 @@ func TestBuyRunIsBitIdentical(t *testing.T) {
 	}
 }
 
+// disconnectionScript plays on graph.Path(6): it deletes the middle edge
+// {2,3} (owned by 2), re-adds it, then cuts off vertex 0 and reconnects it
+// elsewhere.
+var disconnectionScript = []game.Move{
+	{Agent: 2, Drop: []int{3}},
+	{Agent: 2, Add: []int{3}},
+	{Agent: 0, Drop: []int{1}},
+	{Agent: 0, Add: []int{4}},
+}
+
 // TestCostCacheDisconnection: moves that disconnect or reconnect the
 // network (GBG deletions and buys) keep the cache exact across the
 // Unreachable transitions.
@@ -210,14 +220,7 @@ func TestCostCacheDisconnection(t *testing.T) {
 	if e.cost(0).Infinite() {
 		t.Fatal("path is connected")
 	}
-	// Delete the middle edge {2,3} (owned by 2 in graph.Path), then re-add.
-	steps := []game.Move{
-		{Agent: 2, Drop: []int{3}},
-		{Agent: 2, Add: []int{3}},
-		{Agent: 0, Drop: []int{1}},
-		{Agent: 0, Add: []int{4}},
-	}
-	for _, mv := range steps {
+	for _, mv := range disconnectionScript {
 		game.Apply(g, mv)
 		e.afterMove(mv)
 		for u := 0; u < g.N(); u++ {
@@ -226,6 +229,76 @@ func TestCostCacheDisconnection(t *testing.T) {
 				t.Fatalf("after %v: cost of %d = %v, want %v", mv, u, got, want)
 			}
 		}
+	}
+}
+
+// cacheMatchesRebuild fails t unless every matrix entry and every per-row
+// aggregate of c equals a cache rebuilt from scratch on g. Cost checks
+// alone hide the eccentricity of a disconnected row, which the incremental
+// aggregate folds must still get right.
+func cacheMatchesRebuild(t *testing.T, c *costCache, g graph.Store, where string) {
+	t.Helper()
+	want := newCostCache(g)
+	for i, d := range want.d {
+		if c.d[i] != d {
+			t.Fatalf("%s: d(%d,%d) = %d, want %d", where, i/c.n, i%c.n, c.d[i], d)
+		}
+	}
+	for u := 0; u < c.n; u++ {
+		if c.sum[u] != want.sum[u] || c.ecc[u] != want.ecc[u] || c.reached[u] != want.reached[u] {
+			t.Fatalf("%s: aggregates of %d = (sum %d, ecc %d, reached %d), want (%d, %d, %d)", where, u,
+				c.sum[u], c.ecc[u], c.reached[u], want.sum[u], want.ecc[u], want.reached[u])
+		}
+	}
+}
+
+// TestCostCacheAggregatesMatchRebuild: after every move of SUM-ASG and
+// SUM-GBG max-cost runs, and of a script that disconnects and reconnects
+// the network, the cache's matrix and its folded sum/ecc/reached
+// aggregates equal a fresh rebuild.
+func TestCostCacheAggregatesMatchRebuild(t *testing.T) {
+	for _, n := range []int{70, 130} {
+		split := gen.RandomTree(n, gen.NewRand(int64(n)))
+		for _, e := range split.Edges() {
+			if e.U == 0 || e.V == 0 {
+				split.RemoveEdge(e.U, e.V) // two components: the first buy reconnects
+				break
+			}
+		}
+		runs := []struct {
+			gm    game.Game
+			start *graph.Graph
+		}{
+			{game.NewAsymSwap(game.Sum), gen.BudgetNetwork(n, 3, gen.NewRand(int64(n)+1))},
+			{game.NewGreedyBuy(game.Sum, game.AlphaInt(int64(n/4))), gen.RandomConnected(n, 2*n, gen.NewRand(int64(n)+2))},
+			{game.NewGreedyBuy(game.Sum, game.AlphaInt(int64(n/4))), split},
+		}
+		for ri, run := range runs {
+			g := run.start
+			e := newEngine(g, run.gm, 1)
+			e.cost(0) // builds the cache and installs it as the scan oracle
+			r := rand.New(rand.NewSource(int64(ri)))
+			var moves []game.Move
+			for step := 0; step < 400; step++ {
+				mover := MaxCost{}.pickEngine(e, r)
+				if mover < 0 {
+					break
+				}
+				moves, _ = run.gm.BestMoves(g, mover, e.scratch(), moves[:0])
+				mv := moves[0].Clone()
+				game.Apply(g, mv)
+				e.afterMove(mv)
+				cacheMatchesRebuild(t, e.cache, g, fmt.Sprintf("%s n=%d run %d step %d (%v)", run.gm.Name(), n, ri, step, mv))
+			}
+		}
+	}
+	g := graph.Path(6)
+	e := newEngine(g, game.NewGreedyBuy(game.Sum, game.AlphaInt(1)), 1)
+	e.cost(0)
+	for _, mv := range disconnectionScript {
+		game.Apply(g, mv)
+		e.afterMove(mv)
+		cacheMatchesRebuild(t, e.cache, g, fmt.Sprintf("after %v", mv))
 	}
 }
 

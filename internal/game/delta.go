@@ -421,8 +421,10 @@ func (s *Scratch) deltaTargetBound(u, y int, kind DistKind, limit int64) (int64,
 	if kind == Sum {
 		// Every vertex contributes at least distance 1, so the running
 		// sum plus the unprocessed count is already a valid lower bound;
-		// it is checked between 32-vertex blocks to keep the inner loop
-		// branch-light. The two segments skip v == u.
+		// it is checked between 32-vertex blocks so the inner loop stays
+		// branch-free (the builtin min compiles to a conditional move;
+		// distance rows would mispredict a compare-and-jump). The two
+		// segments skip v == u.
 		sum := int64(0)
 	sumLoop:
 		for seg := 0; seg < 2; seg++ {
@@ -431,16 +433,12 @@ func (s *Scratch) deltaTargetBound(u, y int, kind DistKind, limit int64) (int64,
 				lo, hi = u+1, n
 			}
 			for lo < hi {
-				blk := lo + 32
-				if blk > hi {
-					blk = hi
-				}
-				for v := lo; v < blk; v++ {
-					t := dy[v] + 1
-					if du[v] < t {
-						t = du[v]
-					}
-					sum += int64(t)
+				blk := min(lo+32, hi)
+				bu := du[lo:blk]
+				by := dy[lo:blk]
+				by = by[:len(bu)] // drops the bounds check on by[i]
+				for i, x := range bu {
+					sum += int64(min(x, by[i]+1))
 				}
 				lo = blk
 				rest := int64(n - blk)
@@ -502,14 +500,8 @@ func (s *Scratch) deltaPairBoundSum(u, x, y int, bound int64) int64 {
 	xi := d.pos[x]
 	pen := int64(0)
 	for _, v := range d.witBuf[d.witOff[xi]:d.witOff[xi+1]] {
-		f0, f1, r := d.min1[v], d.min2[v], dy[v]
-		if r < f0 {
-			f0 = r
-		}
-		if r < f1 {
-			f1 = r
-		}
-		pen += int64(f1 - f0)
+		r := dy[v]
+		pen += int64(min(d.min2[v], r) - min(d.min1[v], r))
 	}
 	return bound + pen
 }

@@ -135,12 +135,12 @@ func (o *testOracle) Row(v int) []int32 { return o.rows[v] }
 // TestDeltaWithOracleMatchesNaive: with a distance oracle installed —
 // enabling searchless addition scoring, target-bound pruning, and the
 // lazy probe path — every scan must still agree with the naive reference.
+// The trials beyond n = 32 reach the SUM bound's later 32-vertex blocks, its
+// early exit between blocks and the split around the scanning agent.
 func TestDeltaWithOracleMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(15)
-		g := randomDeltaGraph(n, r)
-		host := randomDeltaGraph(n, r)
+	check := func(g, host *graph.Graph) {
+		n := g.N()
 		s := NewScratch(n)
 		sn := NewScratch(n)
 		s.SetDistOracle(newTestOracle(g))
@@ -163,7 +163,25 @@ func TestDeltaWithOracleMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		s.SetDistOracle(nil)
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(15)
+		g := randomDeltaGraph(n, r)
+		check(g, randomDeltaGraph(n, r))
+	}
+	disconnected := 0
+	for _, n := range []int{40, 70, 100} {
+		for trial := 0; trial < 3; trial++ {
+			g := randomDeltaGraph(n, r)
+			host := randomDeltaGraph(n, r)
+			if !g.Connected() {
+				disconnected++
+			}
+			check(g, host)
+		}
+	}
+	if disconnected == 0 {
+		t.Fatal("no disconnected graph among the large trials")
 	}
 }
 
