@@ -73,12 +73,23 @@ func TestFacadeGenerators(t *testing.T) {
 
 func TestFacadeExperiment(t *testing.T) {
 	opt := ExperimentOptions{Ns: []int{10}, Trials: 4, Seed: 1}
+	var fr FigureResult
 	fr, err := RegenerateFigure(7, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fr.Series) == 0 {
 		t.Fatal("no series")
+	}
+	if def := DefaultExperimentOptions(); def.Trials < 1 || len(def.Ns) == 0 {
+		t.Fatalf("default options %+v cannot run", def)
+	}
+	if _, err := RegenerateFigure(11, ExperimentOptions{Ns: []int{3}, Trials: 1, Seed: 1}); err == nil {
+		t.Fatal("figure 11 at n=3 (m=4n is not drawable) returned no error")
+	}
+	var pp PhaseProfile = ProfilePhases(nil)
+	if pp.Opening.Moves+pp.Middle.Moves+pp.End.Moves != 0 {
+		t.Fatalf("phase profile %+v of an empty trajectory has moves", pp)
 	}
 }
 
@@ -191,7 +202,14 @@ func TestFacadeCampaign(t *testing.T) {
 		t.Fatalf("builtin grid: %d samplers, %d variants",
 			len(CampaignSamplers()), len(CampaignVariants()))
 	}
-	res, searched := HuntUnitBudgetCycle(SUM, 1, 2, 100)
+	var res *HuntResult
+	res, searched, err := HuntUnitBudgetCycle(SUM, 1, 2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := HuntUnitBudgetCycle(SUM, 1, 0, 100); err == nil {
+		t.Fatal("hunt with no instance budget returned no error")
+	}
 	if searched != 2 {
 		t.Fatalf("hunt searched %d instances, want 2", searched)
 	}

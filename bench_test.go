@@ -16,7 +16,6 @@ import (
 	"ncg/internal/cycles"
 	"ncg/internal/dynamics"
 	"ncg/internal/ensemble"
-	"ncg/internal/experiments"
 	"ncg/internal/game"
 	"ncg/internal/gen"
 	"ncg/internal/graph"
@@ -60,10 +59,10 @@ func BenchmarkFig15VerifyCycle(b *testing.B) { benchVerify(b, cycles.Fig15SumBil
 func BenchmarkFig16VerifyCycle(b *testing.B) { benchVerify(b, cycles.Fig16MaxBilateral()) }
 
 func benchFigure(b *testing.B, num int) {
-	opt := experiments.Options{Ns: []int{16}, Trials: 6, Seed: 1, Workers: 2}
+	opt := ensemble.FigureOptions{Ns: []int{16}, Trials: 6, Seed: 1, Workers: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure(num, opt); err != nil {
+		if _, err := ensemble.Figure(num, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

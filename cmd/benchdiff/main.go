@@ -102,19 +102,35 @@ func cmdCheck(args []string) {
 		}
 		tol = v
 	}
-	base := load(baseline)
-	cur := load(current)
-	var names []string
+	regressions := Compare(os.Stdout, load(baseline), load(current), tol)
+	if regressions > 0 {
+		fmt.Printf("benchdiff: %d benchmark(s) regressed more than %.0f%%\n", regressions, tol*100)
+		os.Exit(1)
+	}
+}
+
+// Compare writes one row per baseline benchmark (ok, REGRESSION or
+// MISSING) and then one NEW row per benchmark only the current snapshot
+// has, both in name order, and returns the number of regressions beyond
+// tol.
+func Compare(w io.Writer, base, cur Snapshot, tol float64) int {
+	var names, added []string
 	for name := range base.Benchmarks {
 		names = append(names, name)
 	}
+	for name := range cur.Benchmarks {
+		if _, ok := base.Benchmarks[name]; !ok {
+			added = append(added, name)
+		}
+	}
 	sort.Strings(names)
+	sort.Strings(added)
 	regressions := 0
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		c, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Printf("MISSING  %-28s baseline %.0f ns/op, absent from current\n", name, b)
+			fmt.Fprintf(w, "MISSING  %-28s baseline %.0f ns/op, absent from current\n", name, b)
 			continue
 		}
 		ratio := c / b
@@ -123,17 +139,12 @@ func cmdCheck(args []string) {
 			status = "REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-10s %-28s %12.0f -> %12.0f ns/op  (%+.1f%%)\n", status, name, b, c, (ratio-1)*100)
+		fmt.Fprintf(w, "%-10s %-28s %12.0f -> %12.0f ns/op  (%+.1f%%)\n", status, name, b, c, (ratio-1)*100)
 	}
-	for name := range cur.Benchmarks {
-		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("NEW      %-28s %.0f ns/op (not in baseline)\n", name, cur.Benchmarks[name])
-		}
+	for _, name := range added {
+		fmt.Fprintf(w, "NEW      %-28s %.0f ns/op (not in baseline)\n", name, cur.Benchmarks[name])
 	}
-	if regressions > 0 {
-		fmt.Printf("benchdiff: %d benchmark(s) regressed more than %.0f%%\n", regressions, tol*100)
-		os.Exit(1)
-	}
+	return regressions
 }
 
 // parseFlags is a tiny strict flag scanner: every argument must be a known

@@ -43,3 +43,30 @@ func TestParseIgnoresNonBenchmarkLines(t *testing.T) {
 		t.Fatalf("expected empty snapshot, got %v", snap.Benchmarks)
 	}
 }
+
+// TestCompareRowsAreSorted: baseline rows and NEW rows both come out in
+// name order, so the bench log is the same on every run.
+func TestCompareRowsAreSorted(t *testing.T) {
+	base := Snapshot{Benchmarks: map[string]float64{"Zeta": 100, "Alpha": 100, "Mid": 100}}
+	cur := Snapshot{Benchmarks: map[string]float64{"Alpha": 200, "Mid": 100}}
+	for _, name := range []string{"Zz", "Bb", "Yy", "Cc", "Xx", "Dd"} {
+		cur.Benchmarks[name] = 1
+	}
+	want := []string{"REGRESSION Alpha", "ok Mid", "MISSING Zeta",
+		"NEW Bb", "NEW Cc", "NEW Dd", "NEW Xx", "NEW Yy", "NEW Zz"}
+	for range 5 {
+		var sb strings.Builder
+		if got := Compare(&sb, base, cur, 0.25); got != 1 {
+			t.Fatalf("regressions = %d, want 1", got)
+		}
+		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+		if len(lines) != len(want) {
+			t.Fatalf("got %d rows, want %d:\n%s", len(lines), len(want), sb.String())
+		}
+		for i, line := range lines {
+			if f := strings.Fields(line); f[0]+" "+f[1] != want[i] {
+				t.Fatalf("row %d = %q, want %q", i, line, want[i])
+			}
+		}
+	}
+}

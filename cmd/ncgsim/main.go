@@ -40,7 +40,6 @@ import (
 	"ncg/internal/cli"
 	"ncg/internal/dynamics"
 	"ncg/internal/ensemble"
-	"ncg/internal/experiments"
 )
 
 const usage = `ncgsim — selfish network creation ensembles
@@ -426,10 +425,12 @@ func (a *app) cmdFig(args []string) {
 	}
 	ns := gf.validate(a, true)
 
-	opt := experiments.Options{Ns: ns, Trials: gf.trials, Seed: gf.seed, Workers: gf.workers}
-	fr, err := experiments.Figure(num, opt)
+	opt := ensemble.FigureOptions{Ns: ns, Trials: gf.trials, Seed: gf.seed, Workers: gf.workers}
+	// The figure number is valid here, so an error is a grid the figure's
+	// ensembles cannot draw: a usage error, reported before any trial runs.
+	fr, err := ensemble.Figure(num, opt)
 	if err != nil {
-		a.Errorf("%v", err)
+		a.Fail("%v", err)
 	}
 	fmt.Fprint(a.Stdout, fr.Render())
 	fmt.Fprintf(a.Stdout, "\nworst max-steps/n over the grid: %.2f\n", fr.Bound())

@@ -30,6 +30,7 @@ func TestFlagValidation(t *testing.T) {
 		{"resume without jsonl", []string{"run", "fig1-sg-max-path", "-resume"}},
 		{"fig without number", []string{"fig"}},
 		{"fig bad number", []string{"fig", "3"}},
+		{"infeasible figure grid", []string{"fig", "13", "-nmin", "5", "-nmax", "5"}},
 		{"infeasible budget grid", []string{"run", "sg-sum-budget-k3", "-nmin", "4", "-nmax", "4", "-trials", "1"}},
 		{"unknown schedule", []string{"run", "sg-sum-budget-k3", "-schedule", "simultaneous"}},
 	} {
@@ -107,5 +108,29 @@ func TestFigSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "worst max-steps/n") {
 		t.Errorf("figure output incomplete:\n%s", out)
+	}
+}
+
+// TestFigRunsToCompletion runs a two-row figure end to end: both tables
+// carry a row per agent count, and the envelope line closes the output.
+func TestFigRunsToCompletion(t *testing.T) {
+	code, out, errOut := runCmd("fig", "7",
+		"-nmin", "10", "-nmax", "12", "-nstep", "2", "-trials", "2")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	avg, maxTab, ok := strings.Cut(out, "Max # of steps until convergence\n")
+	if !ok || !strings.Contains(avg, "Avg # of steps until convergence\n") {
+		t.Fatalf("figure output misses a table:\n%s", out)
+	}
+	for _, tab := range []string{avg, maxTab} {
+		for _, row := range []string{"\n10\t", "\n12\t"} {
+			if !strings.Contains(tab, row) {
+				t.Errorf("table misses row %q:\n%s", strings.TrimSpace(row), tab)
+			}
+		}
+	}
+	if !strings.Contains(maxTab, "\nworst max-steps/n over the grid: ") {
+		t.Errorf("figure output misses the envelope line:\n%s", out)
 	}
 }

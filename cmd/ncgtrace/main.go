@@ -135,6 +135,9 @@ func (a *app) main(args []string) {
 	case "path":
 		g = graph.Path(*n)
 	case "cycle":
+		if *n < 3 {
+			a.Fail("-init cycle needs -n >= 3, got %d", *n)
+		}
 		g = graph.Cycle(*n)
 	case "random-tree":
 		g = gen.RandomTree(*n, r)

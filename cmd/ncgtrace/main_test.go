@@ -23,6 +23,7 @@ func TestFlagValidation(t *testing.T) {
 		{"bad n", []string{"-n", "0"}},
 		{"bad alpha denominator", []string{"-alpha-den", "0"}},
 		{"infeasible budget", []string{"-init", "budget-k", "-n", "6", "-k", "3"}},
+		{"cycle too short", []string{"-init", "cycle", "-n", "2"}},
 		{"stray argument", []string{"stray"}},
 		{"unknown flag", []string{"-frobnicate"}},
 		{"unknown schedule", []string{"-schedule", "simultaneous"}},

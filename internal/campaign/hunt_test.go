@@ -1,9 +1,8 @@
-package hunt
+package campaign
 
 import (
 	"testing"
 
-	"ncg/internal/campaign"
 	"ncg/internal/cycles"
 	"ncg/internal/game"
 	"ncg/internal/gen"
@@ -12,7 +11,7 @@ import (
 
 func TestSampleCyclePendantNetworkInvariants(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		g := SampleCyclePendantNetwork(seed)
+		g := SampleCyclePendant(gen.NewRand(seed))
 		if g == nil {
 			continue
 		}
@@ -34,8 +33,8 @@ func TestSampleCyclePendantNetworkInvariants(t *testing.T) {
 }
 
 func TestSampleDeterministic(t *testing.T) {
-	a := SampleCyclePendantNetwork(5)
-	b := SampleCyclePendantNetwork(5)
+	a := SampleCyclePendant(gen.NewRand(5))
+	b := SampleCyclePendant(gen.NewRand(5))
 	if (a == nil) != (b == nil) {
 		t.Fatal("nondeterministic sampling")
 	}
@@ -52,7 +51,7 @@ func TestSampleDeterministic(t *testing.T) {
 // silently counted them against maxInstances).
 func TestHuntMatchesSequentialReference(t *testing.T) {
 	const maxInstances, stateCap = 12, 150
-	res, searched, err := runHunt(game.Sum, 2, maxInstances, stateCap, campaign.Options{Workers: 3, ShardSize: 2})
+	res, searched, err := runHunt(game.Sum, 2, maxInstances, stateCap, Options{Workers: 3, ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func sampleRef(seed int64, i int) *graph.Graph {
 		if a > 0 {
 			s = gen.Seed(seed, 0, 0, uint64(i), uint64(a))
 		}
-		if g := campaign.SampleCyclePendant(gen.NewRand(s)); g != nil {
+		if g := SampleCyclePendant(gen.NewRand(s)); g != nil {
 			return g
 		}
 	}
@@ -104,7 +103,7 @@ func TestHuntWorkerInvariance(t *testing.T) {
 		searched int
 	}
 	run := func(workers int) outcome {
-		res, searched, err := runHunt(game.Max, 7, 8, 120, campaign.Options{Workers: workers, ShardSize: 1})
+		res, searched, err := runHunt(game.Max, 7, 8, 120, Options{Workers: workers, ShardSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +125,31 @@ func TestHuntSmallBudgetRuns(t *testing.T) {
 	// A tiny hunt must terminate without finding cycles on so few
 	// instances (random unit-budget networks essentially never cycle) and
 	// report every instance as searched.
-	res, searched := HuntUnitBudgetCycle(game.Sum, 1, 5, 200)
+	res, searched, err := HuntUnitBudgetCycle(game.Sum, 1, 5, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res != nil {
 		t.Logf("unexpectedly found a cycle: instance %d", res.Instance)
 	}
 	if searched != 5 {
 		t.Fatalf("searched %d instances, want the full budget of 5", searched)
+	}
+}
+
+// TestHuntRejectsZeroBudgets: a zero instance budget or state cap is the
+// campaign's validation error, not a panic.
+func TestHuntRejectsZeroBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		maxInstances, stateCap int
+	}{
+		{"no instances", 0, 100},
+		{"no state cap", 1, 0},
+	} {
+		res, searched, err := HuntUnitBudgetCycle(game.Sum, 1, tc.maxInstances, tc.stateCap)
+		if err == nil || res != nil || searched != 0 {
+			t.Errorf("%s: got (%v, %d, %v), want a validation error", tc.name, res, searched, err)
+		}
 	}
 }

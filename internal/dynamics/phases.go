@@ -1,4 +1,4 @@
-package experiments
+package dynamics
 
 import (
 	"fmt"
@@ -10,8 +10,9 @@ import (
 // Phase analysis of Greedy Buy Game trajectories (Section 4.2.2): the
 // paper describes typical runs as a deletion-dominated opening, a
 // swap/buy-dominated middle game, and a mixed cleanup. PhaseProfile
-// segments a move-kind trajectory into thirds and reports the kind mix of
-// each, which makes those qualitative descriptions measurable.
+// segments a move-kind trajectory (Result.Kinds) into thirds and reports
+// the kind mix of each, which makes those qualitative descriptions
+// measurable.
 
 // PhaseStats is the move-kind mix of one segment of a trajectory.
 type PhaseStats struct {

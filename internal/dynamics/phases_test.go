@@ -1,10 +1,9 @@
-package experiments
+package dynamics
 
 import (
 	"strings"
 	"testing"
 
-	"ncg/internal/dynamics"
 	"ncg/internal/game"
 	"ncg/internal/gen"
 )
@@ -40,7 +39,7 @@ func TestTrajectoryPhases(t *testing.T) {
 		r := gen.NewRand(int64(trial) + 100)
 		g := gen.RandomConnected(n, 4*n, r)
 		gm := game.NewGreedyBuy(game.Sum, game.NewAlpha(int64(n), 4))
-		res := dynamics.Run(g, dynamics.Config{Game: gm, Policy: dynamics.Random{}, Seed: int64(trial)})
+		res := Run(g, Config{Game: gm, Policy: Random{}, Seed: int64(trial)})
 		if !res.Converged {
 			t.Fatalf("trial %d did not converge", trial)
 		}

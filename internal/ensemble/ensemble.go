@@ -5,7 +5,7 @@
 // streams per-trial records to pluggable sinks (JSONL, CSV, callbacks) and
 // resumes from partial JSONL checkpoints. Results are bit-identical for
 // any worker count and any shard size; the empirical figures of the paper
-// (internal/experiments) are thin queries over this spine.
+// (figures.go) are thin queries over this spine.
 package ensemble
 
 import (

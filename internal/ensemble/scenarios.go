@@ -10,8 +10,8 @@ import (
 // Built-in scenarios: the paper's figure configurations plus workloads
 // spanning all five game variants. Each entry is one named combination of
 // game x alpha schedule x policy x tie-break x initial-network ensemble;
-// the figure regenerations of internal/experiments sweep parameterized
-// families of these same configurations over their grids.
+// the figure regenerations (figures.go) sweep parameterized families of
+// these same configurations over their grids.
 
 // grid is the default experiment-scale agent grid.
 var grid = []int{10, 20, 30, 40, 50}

@@ -15,5 +15,5 @@
 //	Theorem 4.1    (G)BG best response cycles
 //	Corollary 3.6 / 4.2  host-graph non-weak-acyclicity (with errata)
 //	Theorem 5.1/5.2 bilateral equal-split BG dynamics
-//	Sections 3.4 / 4.2  empirical convergence study (internal/experiments)
+//	Sections 3.4 / 4.2  empirical convergence study (internal/ensemble figures)
 package paper

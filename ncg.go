@@ -27,12 +27,10 @@ import (
 	"ncg/internal/cycles"
 	"ncg/internal/dynamics"
 	"ncg/internal/ensemble"
-	"ncg/internal/experiments"
 	"ncg/internal/faultinject"
 	"ncg/internal/game"
 	"ncg/internal/gen"
 	"ncg/internal/graph"
-	"ncg/internal/hunt"
 	"ncg/internal/jsonl"
 	"ncg/internal/quality"
 	"ncg/internal/search"
@@ -389,7 +387,7 @@ type (
 	// campaign spine via SweepCandidateFamily.
 	CandidateFamily = search.Family
 	// HuntResult is a best-response cycle found on a unit-budget network.
-	HuntResult = hunt.HuntResult
+	HuntResult = campaign.HuntResult
 )
 
 var (
@@ -422,8 +420,8 @@ var (
 	Fig10Family       = search.Fig10Family
 	// HuntUnitBudgetCycle hunts the structured cycle-pendant unit-budget
 	// family for a best-response cycle, reporting how many instances were
-	// actually searched.
-	HuntUnitBudgetCycle = hunt.HuntUnitBudgetCycle
+	// actually searched; a zero instance budget or state cap is an error.
+	HuntUnitBudgetCycle = campaign.HuntUnitBudgetCycle
 )
 
 // Fault-tolerant campaign service: a lease-based coordinator decomposes a
@@ -531,17 +529,17 @@ var (
 // ensemble spine).
 type (
 	// ExperimentOptions scale a figure regeneration.
-	ExperimentOptions = experiments.Options
+	ExperimentOptions = ensemble.FigureOptions
 	// FigureResult is a regenerated empirical figure.
-	FigureResult = experiments.FigureResult
+	FigureResult = ensemble.FigureResult
 )
 
 var (
 	// RegenerateFigure regenerates one of the empirical figures (7, 8,
 	// 11-14).
-	RegenerateFigure = experiments.Figure
+	RegenerateFigure = ensemble.Figure
 	// DefaultExperimentOptions returns the scaled-down defaults.
-	DefaultExperimentOptions = experiments.DefaultOptions
+	DefaultExperimentOptions = ensemble.DefaultFigureOptions
 )
 
 // Equilibrium quality (price-of-anarchy style measurements).
@@ -550,7 +548,7 @@ type (
 	// optimum of its game.
 	QualityReport = quality.Report
 	// PhaseProfile is the move-kind mix of a trajectory in thirds.
-	PhaseProfile = experiments.PhaseProfile
+	PhaseProfile = dynamics.PhaseProfile
 )
 
 var (
@@ -561,5 +559,5 @@ var (
 	SumBGOptimum = quality.SumBGOptimum
 	// ProfilePhases segments a trajectory of move kinds into thirds
 	// (Section 4.2.2 phase analysis).
-	ProfilePhases = experiments.Profile
+	ProfilePhases = dynamics.Profile
 )
